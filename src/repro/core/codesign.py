@@ -180,6 +180,12 @@ def _simulate_group(
     streams differ per point) capture a reusable trace and replay from
     it, seeding the registry/spill so later sweeps along *any*
     replayable axis price the figure without re-running kernels.
+    Every replayed point is priced by the one point pipeline of
+    :func:`repro.machine.replay._run_points` (skeleton, L2 walk,
+    intern, column pricing); with the pass cache on, each walk is
+    stored as an ``.rvp`` tier whatever its mode, so a warm group is
+    served by :func:`~repro.machine.replay.replay_sweep_cached`
+    without decoding the trace.
     Groups varying in a genuinely un-replayable field fall back to
     ordinary per-point simulation — or raise when ``use_trace=True``
     was explicitly requested.

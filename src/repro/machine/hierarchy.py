@@ -57,6 +57,20 @@ class AccessStats:
 _VC_HIT_LATENCY = 2
 
 
+def _cache(params, name: str) -> SetAssocCache:
+    """The cache level described by a ``CacheParams``."""
+    return SetAssocCache(
+        params.size_bytes, params.assoc, params.line_bytes, params.latency, name
+    )
+
+
+def _prefetcher(params):
+    """The prefetcher described by a ``PrefetcherParams`` (or ``None``)."""
+    if not params:
+        return NullPrefetcher()
+    return StreamPrefetcher(params.num_streams, params.degree, params.trigger)
+
+
 class Tlb:
     """LRU data-TLB (see :class:`repro.machine.config.TLBParams`).
 
@@ -103,12 +117,8 @@ class MemoryHierarchy:
 
     def __init__(self, cfg: MachineConfig):
         self.cfg = cfg
-        self.l1 = SetAssocCache(
-            cfg.l1.size_bytes, cfg.l1.assoc, cfg.l1.line_bytes, cfg.l1.latency, "L1"
-        )
-        self.l2 = SetAssocCache(
-            cfg.l2.size_bytes, cfg.l2.assoc, cfg.l2.line_bytes, cfg.l2.latency, "L2"
-        )
+        self.l1 = _cache(cfg.l1, "L1")
+        self.l2 = _cache(cfg.l2, "L2")
         if cfg.vpu.mem_port == "L2" and cfg.vpu.vector_cache_bytes:
             vc_bytes = cfg.vpu.vector_cache_bytes
             lines = max(1, vc_bytes // cfg.l2.line_bytes)
@@ -118,24 +128,8 @@ class MemoryHierarchy:
             )
         else:
             self.vector_cache = None
-        self.l1_prefetcher = (
-            StreamPrefetcher(
-                cfg.l1_prefetcher.num_streams,
-                cfg.l1_prefetcher.degree,
-                cfg.l1_prefetcher.trigger,
-            )
-            if cfg.l1_prefetcher
-            else NullPrefetcher()
-        )
-        self.l2_prefetcher = (
-            StreamPrefetcher(
-                cfg.l2_prefetcher.num_streams,
-                cfg.l2_prefetcher.degree,
-                cfg.l2_prefetcher.trigger,
-            )
-            if cfg.l2_prefetcher
-            else NullPrefetcher()
-        )
+        self.l1_prefetcher = _prefetcher(cfg.l1_prefetcher)
+        self.l2_prefetcher = _prefetcher(cfg.l2_prefetcher)
         self.tlb = (
             Tlb(cfg.tlb.entries, cfg.tlb.page_bytes, cfg.tlb.miss_penalty)
             if cfg.tlb
@@ -193,6 +187,20 @@ class MemoryHierarchy:
         self._fill_l2 = cfg.l2.line_bytes / cfg.dram_bytes_per_cycle
         self._ranges = []
         self._range_budget = cfg.l2.size_bytes
+        return self
+
+    @classmethod
+    def l2_walk_view(cls, cfg: MachineConfig) -> "MemoryHierarchy":
+        """A :meth:`pricing_view` plus the L2 and its prefetcher: all a
+        replay point pass that walks the L2 reads.
+
+        Unlike a full hierarchy it holds no bound-method attributes, so
+        no reference cycle keeps its per-set dicts alive after the walk.
+        """
+        self = cls.pricing_view(cfg)
+        self.l2 = _cache(cfg.l2, "L2")
+        self.l2_prefetcher = _prefetcher(cfg.l2_prefetcher)
+        self._pf2_on = not isinstance(self.l2_prefetcher, NullPrefetcher)
         return self
 
     # ------------------------------------------------------------------

@@ -53,24 +53,22 @@ state and checked by tests/test_trace_replay.py:
   ``SimStats``), so the point-pass L2 walk may store ``True``
   unconditionally without perturbing residency or LRU order.
 
-The conflict-free fast path (:func:`_point_pass_fast`) additionally
-exploits that an L2 in which no set's distinct-line population exceeds
-the associativity never evicts: a lookup then hits **iff** the line was
-touched before, which the shared pass precomputes per event (a repeat
-count plus the list of first-touch lines).  Only the residency-range
-outcome still varies per point, so those points skip the cache walk
-entirely.  Prefetcher/prefetch-hint fills disable the shortcut (they
-insert lines outside the demand stream).
-
-Conflict-free points whose residency ranges also never trim (the
-recorded working set fits the point's L2) go one step further: their
-walk outcome is *point-invariant*, so the program is compiled once
-into flat NumPy columns (:func:`_compile_fast`) and each point is
-priced by :func:`_point_pass_vec` with ``np.add.accumulate`` /
-``np.bincount`` column arithmetic instead of a per-event Python loop.
-Both folds are strictly sequential in event order (NumPy accumulate
-and bincount-with-weights are defined as in-order loops, unlike the
-pairwise ``np.sum``), so the result stays bitwise identical.
+Each point is priced by one pipeline (:func:`_run_points`): the
+program's point-independent columns (:func:`_skeleton`), the point's L2
+walk (:func:`_walk`, one ``(nh, nm)`` split per event), interning into
+pricing classes (:func:`_intern`), and column arithmetic
+(:func:`_point_pass_vec`).  The walk has three modes.  An L2 in which
+no set's distinct-line population exceeds the associativity never
+evicts: a lookup then hits **iff** the line was touched before, which
+the shared pass precomputes per event (a repeat count plus the list of
+first-touch lines), so only the residency-range checks run
+(*conflict-free*).  When few sets are overcommitted, only their lines
+run the LRU walk (*hybrid*).  Otherwise, or when prefetcher or
+prefetch-hint fills insert lines outside the demand stream, every line
+does (*exact*).  The pricing folds are strictly sequential in event
+order (NumPy accumulate and bincount-with-weights are defined as
+in-order loops, unlike the pairwise ``np.sum``), so the result stays
+bitwise identical.
 
 The hierarchy walks in :class:`_GroupCapture` mirror
 ``MemoryHierarchy._l1_path`` / ``_l2_path`` and their strided variants
@@ -81,6 +79,7 @@ lock-step with hierarchy.py when the model changes.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -88,6 +87,7 @@ import numpy as np
 
 from .config import MachineConfig
 from .hierarchy import _VC_HIT_LATENCY, MemoryHierarchy
+from .replay_vec import _shared_pass_vec
 from .simulator import (
     _SCALAR_MLP,
     _SPILL_SERIALIZE_CYCLES,
@@ -372,8 +372,8 @@ class _GroupCapture(SampledTraceBase):
       are folded here once instead of per line per point; the point
       pass recovers the L2 line as ``a >> l2_shift``).  ``nh0`` counts
       lines touched before (guaranteed hits in a conflict-free L2) and
-      ``ft`` holds the first-touch lines' addresses, both for
-      :func:`_point_pass_fast`.
+      ``ft`` holds the first-touch lines' addresses, both for the
+      shortcut modes of :func:`_walk`.
     * ``(4, w, addrs, inv_lat, occ1, write, nh0, ft)`` — a scalar
       access with at least one L1 miss.
     * ``(5, lines)`` — honoured software-prefetch fills into the L2.
@@ -391,7 +391,12 @@ class _GroupCapture(SampledTraceBase):
         self.address_space = AddressSpace()
         # Kernels only reach the hierarchy via note_resident_range.
         self.hierarchy = self
-        hier = MemoryHierarchy(base)
+        # The walk never reaches the L2 (its lookups are deferred), so a
+        # one-line L2 spares the one-dict-per-set allocation of a large
+        # one; nothing read below depends on the L2 size.
+        hier = MemoryHierarchy(
+            replace(base, l2=replace(base.l2, size_bytes=base.l2.line_bytes, assoc=1))
+        )
         vpu = base.vpu
         self._vpu = vpu
         self._port_l1 = vpu.mem_port == "L1"
@@ -1066,38 +1071,6 @@ def _vpu_price_table(classes: list, vpu, l1_lat, ooo_hide) -> list:
     return prices
 
 
-#: Engine knob for the trace-driven shared pass.  ``vec`` (the default)
-#: runs the NumPy column engine (:mod:`repro.machine.replay_vec`);
-#: ``python`` runs the per-event reference loop below.  The two are
-#: hex-identical on every SimStats field (tests/test_replay_vec.py);
-#: the loop is retained as the oracle the column engine is checked
-#: against, and as the fallback of record.
-_ENGINE_ENV = "REPRO_REPLAY_ENGINE"
-_ENGINES = ("vec", "vectorized", "python", "")
-
-
-def _replay_engine() -> str:
-    from ..core.knobs import get_raw  # deferred: machine must not import core eagerly
-
-    val = get_raw(_ENGINE_ENV).lower()
-    if val not in _ENGINES:
-        raise ValueError(
-            f"{_ENGINE_ENV}={val!r}: expected 'vec' or 'python'"
-        )
-    return "python" if val == "python" else "vec"
-
-
-def _shared_pass(
-    trace: RecordedTrace, base: MachineConfig, defer_vpu: bool = False
-):
-    """Shared pass over *trace*: dispatches on ``REPRO_REPLAY_ENGINE``."""
-    if _replay_engine() == "python":
-        return _shared_pass_python(trace, base, defer_vpu=defer_vpu)
-    from .replay_vec import _shared_pass_vec  # deferred: import cycle
-
-    return _shared_pass_vec(trace, base, defer_vpu=defer_vpu)
-
-
 def _shared_pass_python(
     trace: RecordedTrace, base: MachineConfig, defer_vpu: bool = False
 ):
@@ -1105,7 +1078,7 @@ def _shared_pass_python(
 
     The per-event reference loop — the oracle the vectorized engine
     (:func:`repro.machine.replay_vec._shared_pass_vec`) is verified
-    against, selectable via ``REPRO_REPLAY_ENGINE=python``.
+    against in tests/test_replay_vec.py.
     """
     cap = _GroupCapture(base, defer_vpu=defer_vpu)
     labels = trace.labels
@@ -1150,754 +1123,16 @@ def _shared_pass_python(
     return cap.finish()
 
 
-def _point_pass(prog: list, inv: SimStats, machine: MachineConfig, gc: dict) -> SimStats:
-    """Price the shared-pass program against one design point's L2."""
-    hier = MemoryHierarchy(machine)
-    l2 = hier.l2
-    l2_sets, l2_num, l2_assoc = l2._sets, l2.num_sets, l2.assoc
-    pf2 = hier.l2_prefetcher if hier._pf2_on else None
-    range_hit = hier._range_hit
-    note_range = hier.note_resident_range
-    l2_lat = hier._l2_lat
-    dram_lat = hier._dram_lat
-    fill_l2 = hier._fill_l2
-    # The point's own VPU: identical to the capture VPU in an l2-mode
-    # group, the varying one in a vpu-mode group.
-    vpu = machine.vpu
-    l1_lat = gc["l1_lat"]
-    ooo_hide = gc["ooo_hide"]
-    scalar_cpi = gc["scalar_cpi"]
-    l2_shift = gc["l2_shift"]
-    classes = gc["classes"]
-    prices = (
-        _vpu_price_table(classes, vpu, l1_lat, ooo_hide) if classes else ()
-    )
-    # Only the L1-port vector path feeds the L2 prefetcher (the RVV L2
-    # path has no prefetcher); the scalar path always does.
-    v_pf2 = pf2 if gc["port_l1"] else None
-    # occ2 is a repeated sum of fill_l2 in the direct simulator; the
-    # table reproduces the exact fold for any miss count.
-    occ_tab = [0.0]
-    fin_memo = {}
-    fin4 = {}
-    kc = {}
-    cur = None
-    kcur = 0.0
-    cycles = 0.0
-    l2_hits = l2_misses = dram_fills = 0.0
-    # _range_hit only reorders the range list in place;
-    # note_resident_range (tag 2) rebinds it, refreshed there.
-    ranges = hier._ranges
-
-    for it in prog:
-        if type(it) is float:
-            cycles += it
-            kcur += it
-            continue
-        tag = it[0]
-        if tag == 3:
-            (_, w, addrs, inv_lat, occ1, nbytes, n_lines, write, unit,
-             iid, _nh0, _ft) = it
-            nh = nm = 0
-            for a in addrs:
-                l2a = a >> l2_shift
-                ways = l2_sets[l2a % l2_num]
-                if ways.pop(l2a, None) is not None:
-                    # Dirty bits only feed writeback counters SimStats
-                    # never reads; storing True keeps LRU state exact.
-                    ways[l2a] = True
-                    nh += 1
-                    continue
-                ways[l2a] = True
-                if len(ways) > l2_assoc:
-                    ways.pop(next(iter(ways)))
-                if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                    nh += 1
-                else:
-                    nm += 1
-                    if v_pf2 is not None:
-                        v_pf2.observe(l2, l2a)
-            mkey = (iid, nh, nm)
-            cached = fin_memo.get(mkey)
-            if cached is None:
-                while nm >= len(occ_tab):
-                    occ_tab.append(occ_tab[-1] + fill_l2)
-                lat = inv_lat + l2_lat * (nh + nm) + dram_lat * nm
-                c = vmem_event_cycles(
-                    vpu, l1_lat, ooo_hide, lat, occ1, occ_tab[nm],
-                    nbytes, n_lines, write, unit,
-                )
-                cached = fin_memo[mkey] = (w * c, w * nh, w * nm)
-            wc, wh, wm = cached
-            cycles += wc
-            kcur += wc
-            if wh:
-                l2_hits += wh
-            if wm:
-                l2_misses += wm
-                dram_fills += wm
-        elif tag == 4:
-            _, w, addrs, inv_lat, occ1, write, _nh0, _ft = it
-            nh = nm = 0
-            for a in addrs:
-                l2a = a >> l2_shift
-                ways = l2_sets[l2a % l2_num]
-                if ways.pop(l2a, None) is not None:
-                    ways[l2a] = True
-                    nh += 1
-                    continue
-                ways[l2a] = True
-                if len(ways) > l2_assoc:
-                    ways.pop(next(iter(ways)))
-                if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                    nh += 1
-                else:
-                    nm += 1
-                    if pf2 is not None:
-                        pf2.observe(l2, l2a)
-            mkey = (w, inv_lat, occ1, write, nh, nm)
-            cached = fin4.get(mkey)
-            if cached is None:
-                while nm >= len(occ_tab):
-                    occ_tab.append(occ_tab[-1] + fill_l2)
-                lat = inv_lat + l2_lat * (nh + nm) + dram_lat * nm
-                # Lock-step with TraceSimulator.scalar_load/scalar_store.
-                d = lat - l1_lat
-                if d > 0:
-                    stall = max(0.0, d) / _SCALAR_MLP
-                    if write:
-                        stall *= _STORE_STALL_FACTOR * (1.0 - ooo_hide)
-                    else:
-                        stall *= 1.0 - ooo_hide
-                    wc = w * (scalar_cpi + stall + occ1 + occ_tab[nm])
-                else:
-                    wc = w * scalar_cpi
-                cached = fin4[mkey] = (wc, w * nh, w * nm)
-            wc, wh, wm = cached
-            cycles += wc
-            kcur += wc
-            l2_hits += wh
-            l2_misses += wm
-            dram_fills += wm
-        elif tag == 6:
-            wc = it[1] * prices[it[2]]
-            cycles += wc
-            kcur += wc
-        elif tag == 1:
-            if cur is not None:
-                kc[cur] = kcur
-            cur = it[1]
-            kcur = kc.get(cur, 0.0)
-        elif tag == 2:
-            note_range(it[1], it[2])
-            ranges = hier._ranges
-        else:  # tag 5: honoured software-prefetch fills into the L2
-            for la in it[1]:
-                ways = l2_sets[la % l2_num]
-                if la not in ways:
-                    ways[la] = False
-                    if len(ways) > l2_assoc:
-                        ways.pop(next(iter(ways)))
-
-    if cur is not None:
-        kc[cur] = kcur
-    out = SimStats()
-    out.cycles = cycles
-    out.l2_hits = l2_hits
-    out.l2_misses = l2_misses
-    out.dram_fills = dram_fills
-    for name in _INVARIANT_FIELDS:
-        setattr(out, name, getattr(inv, name))
-    out.kernel_cycles = kc
-    return out
-
-
-def _point_pass_hybrid(
-    prog: list, inv: SimStats, machine: MachineConfig, gc: dict, hot: set
-) -> SimStats:
-    """Point pass that walks only lines mapping to *hot* L2 sets.
-
-    ``hot`` holds every distinct L2 line whose set's distinct-line
-    population exceeds the associativity.  All other ("cold") sets can
-    never evict, so a cold lookup hits **iff** the line was touched
-    before — decided from the per-event first-touch list without
-    touching cache structures.  Cold first touches still run the
-    residency-range check *in stream order* (interleaved with the hot
-    walk exactly as in :func:`_point_pass`), because ``_range_hit``
-    LRU-refreshes the range list and a later trim picks its victims by
-    that order.  Caller guarantees no prefetcher fills (cold sets must
-    see the pure demand stream).
-    """
-    hier = MemoryHierarchy(machine)
-    l2 = hier.l2
-    l2_sets, l2_num, l2_assoc = l2._sets, l2.num_sets, l2.assoc
-    range_hit = hier._range_hit
-    note_range = hier.note_resident_range
-    l2_lat = hier._l2_lat
-    dram_lat = hier._dram_lat
-    fill_l2 = hier._fill_l2
-    vpu = machine.vpu
-    l1_lat = gc["l1_lat"]
-    ooo_hide = gc["ooo_hide"]
-    scalar_cpi = gc["scalar_cpi"]
-    l2_shift = gc["l2_shift"]
-    classes = gc["classes"]
-    prices = (
-        _vpu_price_table(classes, vpu, l1_lat, ooo_hide) if classes else ()
-    )
-    occ_tab = [0.0]
-    fin_memo = {}
-    fin4 = {}
-    kc = {}
-    cur = None
-    kcur = 0.0
-    cycles = 0.0
-    l2_hits = l2_misses = dram_fills = 0.0
-    # _range_hit only reorders the range list in place;
-    # note_resident_range (tag 2) rebinds it, refreshed there.
-    ranges = hier._ranges
-
-    for it in prog:
-        if type(it) is float:
-            cycles += it
-            kcur += it
-            continue
-        tag = it[0]
-        if tag == 3:
-            (_, w, addrs, inv_lat, occ1, nbytes, n_lines, write, unit,
-             iid, _nh0, ft) = it
-            nh = nm = 0
-            if ft:
-                ftset = set(ft)
-                for a in addrs:
-                    l2a = a >> l2_shift
-                    if l2a in hot:
-                        ways = l2_sets[l2a % l2_num]
-                        if ways.pop(l2a, None) is not None:
-                            ways[l2a] = True
-                            nh += 1
-                            continue
-                        ways[l2a] = True
-                        if len(ways) > l2_assoc:
-                            ways.pop(next(iter(ways)))
-                        if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                            nh += 1
-                        else:
-                            nm += 1
-                    elif a in ftset:
-                        # Cold first touch: range check, in stream order.
-                        ftset.remove(a)
-                        if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                            nh += 1
-                        else:
-                            nm += 1
-                    else:
-                        nh += 1  # cold repeat: can never have been evicted
-            else:
-                # No first touches in this event: every cold line is a
-                # repeat, hence a guaranteed hit.
-                for a in addrs:
-                    l2a = a >> l2_shift
-                    if l2a in hot:
-                        ways = l2_sets[l2a % l2_num]
-                        if ways.pop(l2a, None) is not None:
-                            ways[l2a] = True
-                            nh += 1
-                            continue
-                        ways[l2a] = True
-                        if len(ways) > l2_assoc:
-                            ways.pop(next(iter(ways)))
-                        if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                            nh += 1
-                        else:
-                            nm += 1
-                    else:
-                        nh += 1
-            mkey = (iid, nh, nm)
-            cached = fin_memo.get(mkey)
-            if cached is None:
-                while nm >= len(occ_tab):
-                    occ_tab.append(occ_tab[-1] + fill_l2)
-                lat = inv_lat + l2_lat * (nh + nm) + dram_lat * nm
-                c = vmem_event_cycles(
-                    vpu, l1_lat, ooo_hide, lat, occ1, occ_tab[nm],
-                    nbytes, n_lines, write, unit,
-                )
-                cached = fin_memo[mkey] = (w * c, w * nh, w * nm)
-            wc, wh, wm = cached
-            cycles += wc
-            kcur += wc
-            if wh:
-                l2_hits += wh
-            if wm:
-                l2_misses += wm
-                dram_fills += wm
-        elif tag == 4:
-            _, w, addrs, inv_lat, occ1, write, _nh0, ft = it
-            nh = nm = 0
-            if ft:
-                ftset = set(ft)
-                for a in addrs:
-                    l2a = a >> l2_shift
-                    if l2a in hot:
-                        ways = l2_sets[l2a % l2_num]
-                        if ways.pop(l2a, None) is not None:
-                            ways[l2a] = True
-                            nh += 1
-                            continue
-                        ways[l2a] = True
-                        if len(ways) > l2_assoc:
-                            ways.pop(next(iter(ways)))
-                        if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                            nh += 1
-                        else:
-                            nm += 1
-                    elif a in ftset:
-                        ftset.remove(a)
-                        if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                            nh += 1
-                        else:
-                            nm += 1
-                    else:
-                        nh += 1
-            else:
-                for a in addrs:
-                    l2a = a >> l2_shift
-                    if l2a in hot:
-                        ways = l2_sets[l2a % l2_num]
-                        if ways.pop(l2a, None) is not None:
-                            ways[l2a] = True
-                            nh += 1
-                            continue
-                        ways[l2a] = True
-                        if len(ways) > l2_assoc:
-                            ways.pop(next(iter(ways)))
-                        if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                            nh += 1
-                        else:
-                            nm += 1
-                    else:
-                        nh += 1
-            mkey = (w, inv_lat, occ1, write, nh, nm)
-            cached = fin4.get(mkey)
-            if cached is None:
-                while nm >= len(occ_tab):
-                    occ_tab.append(occ_tab[-1] + fill_l2)
-                lat = inv_lat + l2_lat * (nh + nm) + dram_lat * nm
-                d = lat - l1_lat
-                if d > 0:
-                    stall = max(0.0, d) / _SCALAR_MLP
-                    if write:
-                        stall *= _STORE_STALL_FACTOR * (1.0 - ooo_hide)
-                    else:
-                        stall *= 1.0 - ooo_hide
-                    wc = w * (scalar_cpi + stall + occ1 + occ_tab[nm])
-                else:
-                    wc = w * scalar_cpi
-                cached = fin4[mkey] = (wc, w * nh, w * nm)
-            wc, wh, wm = cached
-            cycles += wc
-            kcur += wc
-            l2_hits += wh
-            l2_misses += wm
-            dram_fills += wm
-        elif tag == 6:
-            wc = it[1] * prices[it[2]]
-            cycles += wc
-            kcur += wc
-        elif tag == 1:
-            if cur is not None:
-                kc[cur] = kcur
-            cur = it[1]
-            kcur = kc.get(cur, 0.0)
-        elif tag == 2:
-            note_range(it[1], it[2])
-            ranges = hier._ranges
-        else:
-            raise ValueError("prefetch fills in a hybrid point pass")
-
-    if cur is not None:
-        kc[cur] = kcur
-    out = SimStats()
-    out.cycles = cycles
-    out.l2_hits = l2_hits
-    out.l2_misses = l2_misses
-    out.dram_fills = dram_fills
-    for name in _INVARIANT_FIELDS:
-        setattr(out, name, getattr(inv, name))
-    out.kernel_cycles = kc
-    return out
-
-
-def _point_pass_fast(
-    prog: list, inv: SimStats, machine: MachineConfig, gc: dict
-) -> SimStats:
-    """Conflict-free point pass: no L2 set ever exceeds its associativity.
-
-    Such an L2 never evicts, so a lookup hits **iff** the line was
-    touched before — which the shared pass precomputed per event
-    (``nh0`` repeat-touch hits plus the ``ft`` first-touch list).  Only
-    the residency-range checks still depend on the point (range budgets
-    trim differently per L2 capacity), so this walks just the
-    first-touch lines against the range model and skips the cache
-    structures entirely.  Caller guarantees: no prefetcher fills, no
-    tag-5 items (checked via ``gc``), and the set-population bound.
-    """
-    hier = MemoryHierarchy.pricing_view(machine)
-    range_hit = hier._range_hit
-    note_range = hier.note_resident_range
-    l2_lat = hier._l2_lat
-    dram_lat = hier._dram_lat
-    fill_l2 = hier._fill_l2
-    vpu = machine.vpu
-    l1_lat = gc["l1_lat"]
-    ooo_hide = gc["ooo_hide"]
-    scalar_cpi = gc["scalar_cpi"]
-    classes = gc["classes"]
-    prices = (
-        _vpu_price_table(classes, vpu, l1_lat, ooo_hide) if classes else ()
-    )
-    occ_tab = [0.0]
-    fin_memo = {}
-    fin4 = {}
-    kc = {}
-    cur = None
-    kcur = 0.0
-    cycles = 0.0
-    l2_hits = l2_misses = dram_fills = 0.0
-    # _range_hit only reorders the range list in place;
-    # note_resident_range (tag 2) rebinds it, refreshed there.
-    ranges = hier._ranges
-
-    for it in prog:
-        if type(it) is float:
-            cycles += it
-            kcur += it
-            continue
-        tag = it[0]
-        if tag == 3:
-            nh = it[10]
-            nm = 0
-            ft = it[11]
-            if ft:
-                for a in ft:
-                    if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                        nh += 1
-                    else:
-                        nm += 1
-            mkey = (it[9], nh, nm)
-            cached = fin_memo.get(mkey)
-            if cached is None:
-                w = it[1]
-                while nm >= len(occ_tab):
-                    occ_tab.append(occ_tab[-1] + fill_l2)
-                lat = it[3] + l2_lat * (nh + nm) + dram_lat * nm
-                c = vmem_event_cycles(
-                    vpu, l1_lat, ooo_hide, lat, it[4], occ_tab[nm],
-                    it[5], it[6], it[7], it[8],
-                )
-                cached = fin_memo[mkey] = (w * c, w * nh, w * nm)
-            wc, wh, wm = cached
-            cycles += wc
-            kcur += wc
-            if wh:
-                l2_hits += wh
-            if wm:
-                l2_misses += wm
-                dram_fills += wm
-        elif tag == 4:
-            nh = it[6]
-            nm = 0
-            ft = it[7]
-            if ft:
-                for a in ft:
-                    if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                        nh += 1
-                    else:
-                        nm += 1
-            w = it[1]
-            mkey = (w, it[3], it[4], it[5], nh, nm)
-            cached = fin4.get(mkey)
-            if cached is None:
-                while nm >= len(occ_tab):
-                    occ_tab.append(occ_tab[-1] + fill_l2)
-                lat = it[3] + l2_lat * (nh + nm) + dram_lat * nm
-                d = lat - l1_lat
-                if d > 0:
-                    stall = max(0.0, d) / _SCALAR_MLP
-                    if it[5]:
-                        stall *= _STORE_STALL_FACTOR * (1.0 - ooo_hide)
-                    else:
-                        stall *= 1.0 - ooo_hide
-                    wc = w * (scalar_cpi + stall + it[4] + occ_tab[nm])
-                else:
-                    wc = w * scalar_cpi
-                cached = fin4[mkey] = (wc, w * nh, w * nm)
-            wc, wh, wm = cached
-            cycles += wc
-            kcur += wc
-            l2_hits += wh
-            l2_misses += wm
-            dram_fills += wm
-        elif tag == 6:
-            wc = it[1] * prices[it[2]]
-            cycles += wc
-            kcur += wc
-        elif tag == 1:
-            if cur is not None:
-                kc[cur] = kcur
-            cur = it[1]
-            kcur = kc.get(cur, 0.0)
-        elif tag == 2:
-            note_range(it[1], it[2])
-            ranges = hier._ranges
-        else:
-            raise ValueError(
-                "prefetch fills in a conflict-free point pass"
-            )
-
-    if cur is not None:
-        kc[cur] = kcur
-    out = SimStats()
-    out.cycles = cycles
-    out.l2_hits = l2_hits
-    out.l2_misses = l2_misses
-    out.dram_fills = dram_fills
-    for name in _INVARIANT_FIELDS:
-        setattr(out, name, getattr(inv, name))
-    out.kernel_cycles = kc
-    return out
-
-
-def _point_pass_fast2(
-    prog: list,
-    inv: SimStats,
-    ma: MachineConfig,
-    mb: MachineConfig,
-    gc: dict,
-):
-    """Two conflict-free points in one pass over the program.
-
-    Identical per-point arithmetic to :func:`_point_pass_fast` (fully
-    duplicated state, suffixes ``a``/``b``); the shared iteration,
-    dispatch, and invariant-float handling are paid once instead of
-    twice — which dominates a conflict-free pass.  Returns a pair of
-    ``SimStats``.
-    """
-    hier_a = MemoryHierarchy.pricing_view(ma)
-    hier_b = MemoryHierarchy.pricing_view(mb)
-    range_hit_a = hier_a._range_hit
-    range_hit_b = hier_b._range_hit
-    note_range_a = hier_a.note_resident_range
-    note_range_b = hier_b.note_resident_range
-    l2_lat_a, l2_lat_b = hier_a._l2_lat, hier_b._l2_lat
-    dram_lat_a, dram_lat_b = hier_a._dram_lat, hier_b._dram_lat
-    fill_l2_a, fill_l2_b = hier_a._fill_l2, hier_b._fill_l2
-    vpu_a, vpu_b = ma.vpu, mb.vpu
-    l1_lat = gc["l1_lat"]
-    ooo_hide = gc["ooo_hide"]
-    scalar_cpi = gc["scalar_cpi"]
-    classes = gc["classes"]
-    if classes:
-        prices_a = _vpu_price_table(classes, vpu_a, l1_lat, ooo_hide)
-        prices_b = _vpu_price_table(classes, vpu_b, l1_lat, ooo_hide)
-    else:
-        prices_a = prices_b = ()
-    occ_tab_a = [0.0]
-    occ_tab_b = [0.0]
-    fin_a = {}
-    fin_b = {}
-    fin4_a = {}
-    fin4_b = {}
-    kc_a = {}
-    kc_b = {}
-    cur = None
-    kcur_a = kcur_b = 0.0
-    cycles_a = cycles_b = 0.0
-    l2h_a = l2m_a = df_a = 0.0
-    l2h_b = l2m_b = df_b = 0.0
-    ranges_a = hier_a._ranges
-    ranges_b = hier_b._ranges
-
-    for it in prog:
-        if type(it) is float:
-            cycles_a += it
-            kcur_a += it
-            cycles_b += it
-            kcur_b += it
-            continue
-        tag = it[0]
-        if tag == 3:
-            nh0 = it[10]
-            ft = it[11]
-            nh_a = nh_b = nh0
-            nm_a = nm_b = 0
-            if ft:
-                for a in ft:
-                    if (ranges_a and ranges_a[-1][0] <= a < ranges_a[-1][1]) or range_hit_a(a):
-                        nh_a += 1
-                    else:
-                        nm_a += 1
-                for a in ft:
-                    if (ranges_b and ranges_b[-1][0] <= a < ranges_b[-1][1]) or range_hit_b(a):
-                        nh_b += 1
-                    else:
-                        nm_b += 1
-            iid = it[9]
-            mkey = (iid, nh_a, nm_a)
-            cached = fin_a.get(mkey)
-            if cached is None:
-                w = it[1]
-                while nm_a >= len(occ_tab_a):
-                    occ_tab_a.append(occ_tab_a[-1] + fill_l2_a)
-                lat = it[3] + l2_lat_a * (nh_a + nm_a) + dram_lat_a * nm_a
-                c = vmem_event_cycles(
-                    vpu_a, l1_lat, ooo_hide, lat, it[4], occ_tab_a[nm_a],
-                    it[5], it[6], it[7], it[8],
-                )
-                cached = fin_a[mkey] = (w * c, w * nh_a, w * nm_a)
-            wc, wh, wm = cached
-            cycles_a += wc
-            kcur_a += wc
-            if wh:
-                l2h_a += wh
-            if wm:
-                l2m_a += wm
-                df_a += wm
-            mkey = (iid, nh_b, nm_b)
-            cached = fin_b.get(mkey)
-            if cached is None:
-                w = it[1]
-                while nm_b >= len(occ_tab_b):
-                    occ_tab_b.append(occ_tab_b[-1] + fill_l2_b)
-                lat = it[3] + l2_lat_b * (nh_b + nm_b) + dram_lat_b * nm_b
-                c = vmem_event_cycles(
-                    vpu_b, l1_lat, ooo_hide, lat, it[4], occ_tab_b[nm_b],
-                    it[5], it[6], it[7], it[8],
-                )
-                cached = fin_b[mkey] = (w * c, w * nh_b, w * nm_b)
-            wc, wh, wm = cached
-            cycles_b += wc
-            kcur_b += wc
-            if wh:
-                l2h_b += wh
-            if wm:
-                l2m_b += wm
-                df_b += wm
-        elif tag == 4:
-            nh0 = it[6]
-            ft = it[7]
-            nh_a = nh_b = nh0
-            nm_a = nm_b = 0
-            if ft:
-                for a in ft:
-                    if (ranges_a and ranges_a[-1][0] <= a < ranges_a[-1][1]) or range_hit_a(a):
-                        nh_a += 1
-                    else:
-                        nm_a += 1
-                for a in ft:
-                    if (ranges_b and ranges_b[-1][0] <= a < ranges_b[-1][1]) or range_hit_b(a):
-                        nh_b += 1
-                    else:
-                        nm_b += 1
-            w = it[1]
-            mkey = (w, it[3], it[4], it[5], nh_a, nm_a)
-            cached = fin4_a.get(mkey)
-            if cached is None:
-                while nm_a >= len(occ_tab_a):
-                    occ_tab_a.append(occ_tab_a[-1] + fill_l2_a)
-                lat = it[3] + l2_lat_a * (nh_a + nm_a) + dram_lat_a * nm_a
-                d = lat - l1_lat
-                if d > 0:
-                    stall = max(0.0, d) / _SCALAR_MLP
-                    if it[5]:
-                        stall *= _STORE_STALL_FACTOR * (1.0 - ooo_hide)
-                    else:
-                        stall *= 1.0 - ooo_hide
-                    wc = w * (scalar_cpi + stall + it[4] + occ_tab_a[nm_a])
-                else:
-                    wc = w * scalar_cpi
-                cached = fin4_a[mkey] = (wc, w * nh_a, w * nm_a)
-            wc, wh, wm = cached
-            cycles_a += wc
-            kcur_a += wc
-            l2h_a += wh
-            l2m_a += wm
-            df_a += wm
-            mkey = (w, it[3], it[4], it[5], nh_b, nm_b)
-            cached = fin4_b.get(mkey)
-            if cached is None:
-                while nm_b >= len(occ_tab_b):
-                    occ_tab_b.append(occ_tab_b[-1] + fill_l2_b)
-                lat = it[3] + l2_lat_b * (nh_b + nm_b) + dram_lat_b * nm_b
-                d = lat - l1_lat
-                if d > 0:
-                    stall = max(0.0, d) / _SCALAR_MLP
-                    if it[5]:
-                        stall *= _STORE_STALL_FACTOR * (1.0 - ooo_hide)
-                    else:
-                        stall *= 1.0 - ooo_hide
-                    wc = w * (scalar_cpi + stall + it[4] + occ_tab_b[nm_b])
-                else:
-                    wc = w * scalar_cpi
-                cached = fin4_b[mkey] = (wc, w * nh_b, w * nm_b)
-            wc, wh, wm = cached
-            cycles_b += wc
-            kcur_b += wc
-            l2h_b += wh
-            l2m_b += wm
-            df_b += wm
-        elif tag == 6:
-            w = it[1]
-            cid = it[2]
-            wc = w * prices_a[cid]
-            cycles_a += wc
-            kcur_a += wc
-            wc = w * prices_b[cid]
-            cycles_b += wc
-            kcur_b += wc
-        elif tag == 1:
-            if cur is not None:
-                kc_a[cur] = kcur_a
-                kc_b[cur] = kcur_b
-            cur = it[1]
-            kcur_a = kc_a.get(cur, 0.0)
-            kcur_b = kc_b.get(cur, 0.0)
-        elif tag == 2:
-            note_range_a(it[1], it[2])
-            note_range_b(it[1], it[2])
-            ranges_a = hier_a._ranges
-            ranges_b = hier_b._ranges
-        else:
-            raise ValueError("prefetch fills in a conflict-free point pass")
-
-    if cur is not None:
-        kc_a[cur] = kcur_a
-        kc_b[cur] = kcur_b
-    out = []
-    for cycles, l2h, l2m, df, kc in (
-        (cycles_a, l2h_a, l2m_a, df_a, kc_a),
-        (cycles_b, l2h_b, l2m_b, df_b, kc_b),
-    ):
-        st = SimStats()
-        st.cycles = cycles
-        st.l2_hits = l2h
-        st.l2_misses = l2m
-        st.dram_fills = df
-        for name in _INVARIANT_FIELDS:
-            setattr(st, name, getattr(inv, name))
-        st.kernel_cycles = kc
-        out.append(st)
-    return out
-
-
 class _VecProgram:
-    """The shared-pass program flattened into NumPy columns.
+    """One walk outcome of the shared-pass program, as NumPy columns.
 
-    Valid only for conflict-free points sharing one L2 byte budget:
-    there the walk outcome (per-event hit/miss split) is identical
-    across the points, so it is resolved once at compile time and each
-    point only re-prices.
+    ``base`` holds the pre-priced floats (0.0 at class items), ``kid``
+    each column item's kernel id into ``labels``; the items at
+    ``cls_pos`` price as class ``cls_idx`` of the interned table
+    ``cls_defs``, whose point-independent hit/miss weights are
+    ``wh_by_cls``/``wm_by_cls``.  Valid for every point that shares
+    the walk outcome it was built from (see :func:`_run_points` for
+    the tiers that key it); :func:`_point_pass_vec` prices it.
     """
 
     __slots__ = (
@@ -1913,275 +1148,230 @@ class _VecProgram:
     )
 
 
-def _compile_fast(prog: list, gc: dict, hier=None) -> _VecProgram:
-    """Flatten *prog* for :func:`_point_pass_vec`.
+class _Skeleton:
+    """The point-independent columns of a shared-pass program.
 
-    Walks the program once, resolving every residency-range check.
-    With ``hier=None`` (never-trimming points) membership is checked
-    against the same infinite-budget range list every such point's
-    ``MemoryHierarchy`` would hold (``note_resident_range`` with
-    ``start == base``, no eviction, no tail trim — so membership is
-    the entire outcome and LRU order is irrelevant).  With a *hier*
-    (:meth:`MemoryHierarchy.pricing_view` of any point in the group),
-    the walk runs the true trimming range model in stream order —
-    valid for every point sharing that L2 byte budget, since the range
-    outcome depends on nothing else.  Events collapse into per-item
-    columns plus an interned table of pricing classes; two events
-    price identically on every point iff they share a class.
+    ``base``, ``kid``, ``labels`` and ``cls_pos`` are the column layout
+    of :class:`_VecProgram`.  Each class item (tags 3, 4 and 6) carries
+    ``bid``, the id of its point-independent pricing inputs in
+    ``base_defs``; ``is_event`` marks the tag-3/4 items, whose
+    ``(nh, nm)`` split :func:`_walk` supplies in stream order.
+    ``walk`` is the ordered list of the program items the walk reads
+    (tags 2 to 5).
     """
-    inf_ranges: list = []
-    if hier is not None:
-        range_hit = hier._range_hit
-        note_range = hier.note_resident_range
-    base_vals: list = []
-    kid_col: list = []
+
+    __slots__ = (
+        "base",
+        "kid",
+        "labels",
+        "cls_pos",
+        "bid",
+        "is_event",
+        "base_defs",
+        "walk",
+    )
+
+
+def _skeleton(prog: list) -> _Skeleton:
+    """Split *prog* into the columns no design point can change.
+
+    Two class items price identically on every point iff they share a
+    base definition and their walk split ``(nh, nm)``: tag-3 items are
+    keyed by their pricing-input id ``iid``, tag-4 items by their
+    pricing inputs, tag-6 items by ``(w, cid)``.
+    """
+    base_vals = array("d")
+    base_append = base_vals.append
     labels: list = []
     label_ids: dict = {}
-    cls_pos: list = []
-    cls_idx: list = []
-    cls_ids: dict = {}
-    cls_defs: list = []
-    wh_by_cls: list = []
-    wm_by_cls: list = []
-    max_nm = 0
-    cur_kid = -1
-    n = 0
+    run_at = [0]  # column index where each kernel-label run starts
+    run_kid = [-1]
+    cls_pos = array("i")
+    bids = array("i")
+    bid_ids: dict = {}
+    base_defs: list = []
+    walk: list = []
+    # Pre-bound: the class-item branch runs once per priced event.
+    bid_of = bid_ids.get
+    pos_append = cls_pos.append
+    bid_append = bids.append
+    walk_append = walk.append
     for it in prog:
         if type(it) is float:
-            base_vals.append(it)
-            kid_col.append(cur_kid)
-            n += 1
+            base_append(it)
             continue
         tag = it[0]
-        if tag == 3 or tag == 4:
-            if tag == 3:
-                nh, ft = it[10], it[11]
+        if tag == 3 or tag == 4 or tag == 6:
+            if tag == 6:
+                key = it
             else:
-                nh, ft = it[6], it[7]
-            nm = 0
-            if hier is None:
-                for a in ft:
-                    for r in inf_ranges:
-                        if r[0] <= a < r[1]:
-                            nh += 1
-                            break
-                    else:
-                        nm += 1
-            else:
-                # Exact mirror of _point_pass_fast: MRU shortcut, then
-                # the LRU-refreshing lookup.
-                ranges = hier._ranges
-                for a in ft:
-                    if (
-                        ranges and ranges[-1][0] <= a < ranges[-1][1]
-                    ) or range_hit(a):
-                        nh += 1
-                    else:
-                        nm += 1
-            if tag == 3:
-                key = (3, it[9], nh, nm)
-            else:
-                key = (4, it[1], it[3], it[4], it[5], nh, nm)
-            cid = cls_ids.get(key)
-            if cid is None:
-                cid = cls_ids[key] = len(cls_defs)
-                w = it[1]
-                if tag == 3:
-                    cls_defs.append(
-                        (3, w, it[3], it[4], it[5], it[6], it[7], it[8],
-                         nh, nm)
-                    )
-                else:
-                    cls_defs.append((4, w, it[3], it[4], it[5], nh, nm))
-                wh_by_cls.append(w * nh)
-                wm_by_cls.append(w * nm)
-                if nm > max_nm:
-                    max_nm = nm
-            base_vals.append(0.0)
-            kid_col.append(cur_kid)
-            cls_pos.append(n)
-            cls_idx.append(cid)
-            n += 1
-        elif tag == 6:
-            key = (6, it[1], it[2])
-            cid = cls_ids.get(key)
-            if cid is None:
-                cid = cls_ids[key] = len(cls_defs)
-                cls_defs.append(key)
-                wh_by_cls.append(0.0)
-                wm_by_cls.append(0.0)
-            base_vals.append(0.0)
-            kid_col.append(cur_kid)
-            cls_pos.append(n)
-            cls_idx.append(cid)
-            n += 1
+                key = (3, it[9]) if tag == 3 else it[:2] + it[3:6]
+                walk_append(it)
+            b = bid_of(key)
+            if b is None:
+                b = bid_ids[key] = len(base_defs)
+                base_defs.append(it[:2] + it[3:9] if tag == 3 else key)
+            pos_append(len(base_vals))
+            bid_append(b)
+            base_append(0.0)
         elif tag == 1:
             kid = label_ids.get(it[1])
             if kid is None:
                 kid = label_ids[it[1]] = len(labels)
                 labels.append(it[1])
-            cur_kid = kid
-        elif tag == 2:
-            if hier is not None:
-                note_range(it[1], it[2])
-                continue
-            # Mirror MemoryHierarchy.note_resident_range for a budget
-            # that never binds: drop overlapped older ranges, append.
-            nbytes = it[2]
-            if nbytes > 0:
-                b = it[1]
-                e = b + nbytes
-                inf_ranges = [
-                    r for r in inf_ranges if r[1] <= b or r[0] >= e
-                ]
-                inf_ranges.append((b, e))
-        else:
-            raise ValueError("prefetch fills in a vectorized point pass")
-    cols = _VecProgram()
-    cols.base = np.asarray(base_vals, dtype=np.float64)
-    cols.kid = np.asarray(kid_col, dtype=np.int64)
-    cols.labels = labels
-    cols.cls_pos = np.asarray(cls_pos, dtype=np.int64)
-    cols.cls_idx = np.asarray(cls_idx, dtype=np.int64)
-    cols.cls_defs = cls_defs
-    cols.wh_by_cls = np.asarray(wh_by_cls, dtype=np.float64)
-    cols.wm_by_cls = np.asarray(wm_by_cls, dtype=np.float64)
-    cols.max_nm = max_nm
-    return cols
+            run_at.append(len(base_vals))
+            run_kid.append(kid)
+        else:  # tags 2 and 5: residency-range notes, prefetch fills
+            walk.append(it)
+    run_at.append(len(base_vals))
+    # The array buffers back the columns without a copy.
+    skel = _Skeleton()
+    skel.base = np.frombuffer(base_vals, dtype=np.float64)
+    skel.kid = np.repeat(np.asarray(run_kid, dtype=np.intc), np.diff(run_at))
+    skel.labels = labels
+    skel.cls_pos = np.frombuffer(cls_pos, dtype=np.intc)
+    skel.bid = np.frombuffer(bids, dtype=np.intc)
+    skel.is_event = np.array([d[0] != 6 for d in base_defs], dtype=bool)[
+        skel.bid
+    ]
+    skel.base_defs = base_defs
+    skel.walk = walk
+    return skel
 
 
-def _compile_walk(prog: list, gc: dict, machine: MachineConfig) -> _VecProgram:
-    """Resolve the full L2 walk once for a uniform-L2 group.
+def _hot_mask(lines: np.ndarray, machine: MachineConfig) -> np.ndarray:
+    """Which distinct L2 lines (of *lines*) map to a set whose
+    distinct-line population exceeds *machine*'s L2 associativity."""
+    l2 = machine.l2
+    sets = lines % (l2.size_bytes // (l2.assoc * l2.line_bytes))
+    return np.bincount(sets)[sets] > l2.assoc
 
-    State transitions identical to :func:`_point_pass` — conflicted
-    sets evict, honoured prefetch fills land, residency ranges trim in
-    stream order — but each resolved event is interned into the column
-    layout of :func:`_compile_fast` instead of being priced.  The
-    walk reads only the L2 geometry, the L2 prefetcher, and the event
-    stream, so the compiled program is valid for every point sharing
-    those with *machine* (a lane sweep, or a DRAM-latency sweep over a
-    conflicted L2), whatever its latencies or VPU: the class keys here
-    are exactly the pricing-memo keys of :func:`_point_pass`.
+
+def _walk_mode(gc: dict, lines: np.ndarray, machine: MachineConfig):
+    """The cheapest valid walk of *machine*, as the ``hot`` argument of
+    :func:`_walk`: an empty set (conflict-free), the hot lines (hybrid,
+    when under half the distinct lines are hot) or ``None`` (exact)."""
+    l2 = machine.l2
+    if (
+        gc["has_fills"]
+        or gc["pf2_cfg"]
+        or l2.size_bytes // (l2.assoc * l2.line_bytes) <= 0
+    ):
+        return None
+    hot = _hot_mask(lines, machine)
+    n_hot = int(np.count_nonzero(hot))
+    if n_hot and 2 * n_hot >= len(lines):
+        return None
+    return set(lines[hot].tolist())
+
+
+def _walk(skel: _Skeleton, gc: dict, machine: MachineConfig, hot):
+    """Resolve every tag-3/4 event's L2 outcome on *machine*.
+
+    Returns the ``(nh, nm)`` columns (L2 hits incl. residency-range
+    hits, DRAM misses), one entry per event in stream order.  The
+    outcome reads only the point's L2 geometry, L2 prefetcher and
+    range budget; *hot* (see :func:`_walk_mode`) picks the mode:
+
+    * an empty set — *conflict-free*: no set ever exceeds its
+      associativity, so the L2 never evicts and a lookup hits iff the
+      line was touched before.  The shared pass counted those repeats
+      (``nh0``); only the first-touch lines ``ft`` run the range check;
+    * a non-empty set — *hybrid*: lines of the hot sets run the LRU
+      walk, other first touches the range check and other repeats hit;
+    * ``None`` — *exact*: every line runs the LRU walk, misses feed
+      the L2 prefetcher and tag-5 items fill the L2.
+
+    Range checks run in stream order in every mode, interleaved with
+    the LRU walk, because ``_range_hit`` LRU-refreshes the range list
+    and a later trim picks its victims by that order.  The two
+    shortcut modes need the pure demand stream: no prefetch fills.
     """
-    hier = MemoryHierarchy(machine)
+    nh_col = array("q")
+    nm_col = array("q")
+    nh_append = nh_col.append
+    nm_append = nm_col.append
+    if hot is not None and (gc["has_fills"] or gc["pf2_cfg"]):
+        raise ValueError("prefetch fills in a conflict-free or hybrid walk")
+    if hot is not None and not hot:
+        hier = MemoryHierarchy.pricing_view(machine)
+        range_hit = hier._range_hit
+        note_range = hier.note_resident_range
+        # _range_hit only reorders the range list in place;
+        # note_resident_range (tag 2) rebinds it, refreshed there.
+        ranges = hier._ranges
+        for it in skel.walk:
+            tag = it[0]
+            if tag == 3:
+                nh, ft = it[10], it[11]
+            elif tag == 4:
+                nh, ft = it[6], it[7]
+            else:
+                note_range(it[1], it[2])
+                ranges = hier._ranges
+                continue
+            nm = 0
+            for a in ft:
+                if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
+                    nh += 1
+                else:
+                    nm += 1
+            nh_append(nh)
+            nm_append(nm)
+        return (
+            np.frombuffer(nh_col, dtype=np.int64),
+            np.frombuffer(nm_col, dtype=np.int64),
+        )
+
+    hier = MemoryHierarchy.l2_walk_view(machine)
     l2 = hier.l2
     l2_sets, l2_num, l2_assoc = l2._sets, l2.num_sets, l2.assoc
     pf2 = hier.l2_prefetcher if hier._pf2_on else None
+    # Only the L1-port vector path feeds the L2 prefetcher (the RVV L2
+    # path has no prefetcher); the scalar path always does.
+    v_pf2 = pf2 if gc["port_l1"] else None
     range_hit = hier._range_hit
     note_range = hier.note_resident_range
     l2_shift = gc["l2_shift"]
-    v_pf2 = pf2 if gc["port_l1"] else None
+    every = hot is None
+    cold_ft: tuple = ()
     ranges = hier._ranges
-
-    base_vals: list = []
-    kid_col: list = []
-    labels: list = []
-    label_ids: dict = {}
-    cls_pos: list = []
-    cls_idx: list = []
-    cls_ids: dict = {}
-    cls_defs: list = []
-    wh_by_cls: list = []
-    wm_by_cls: list = []
-    max_nm = 0
-    cur_kid = -1
-    n = 0
-    for it in prog:
-        if type(it) is float:
-            base_vals.append(it)
-            kid_col.append(cur_kid)
-            n += 1
-            continue
+    for it in skel.walk:
         tag = it[0]
-        if tag == 3:
-            (_, w, addrs, inv_lat, occ1, nbytes, n_lines, write, unit,
-             iid, _nh0, _ft) = it
+        if tag == 3 or tag == 4:
+            if tag == 3:
+                ft, pf = it[11], v_pf2
+            else:
+                ft, pf = it[7], pf2
+            if not every:
+                cold_ft = set(ft) if ft else ()
             nh = nm = 0
-            for a in addrs:
+            for a in it[2]:
                 l2a = a >> l2_shift
-                ways = l2_sets[l2a % l2_num]
-                if ways.pop(l2a, None) is not None:
+                if every or l2a in hot:
+                    ways = l2_sets[l2a % l2_num]
+                    if ways.pop(l2a, None) is not None:
+                        # Dirty bits only feed writeback counters SimStats
+                        # never reads; storing True keeps LRU state exact.
+                        ways[l2a] = True
+                        nh += 1
+                        continue
                     ways[l2a] = True
-                    nh += 1
+                    if len(ways) > l2_assoc:
+                        ways.pop(next(iter(ways)))
+                elif a in cold_ft:
+                    cold_ft.remove(a)  # cold first touch: range check
+                else:
+                    nh += 1  # cold repeat: can never have been evicted
                     continue
-                ways[l2a] = True
-                if len(ways) > l2_assoc:
-                    ways.pop(next(iter(ways)))
                 if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
                     nh += 1
                 else:
                     nm += 1
-                    if v_pf2 is not None:
-                        v_pf2.observe(l2, l2a)
-            key = (3, iid, nh, nm)
-            cid = cls_ids.get(key)
-            if cid is None:
-                cid = cls_ids[key] = len(cls_defs)
-                cls_defs.append(
-                    (3, w, inv_lat, occ1, nbytes, n_lines, write, unit,
-                     nh, nm)
-                )
-                wh_by_cls.append(w * nh)
-                wm_by_cls.append(w * nm)
-                if nm > max_nm:
-                    max_nm = nm
-            base_vals.append(0.0)
-            kid_col.append(cur_kid)
-            cls_pos.append(n)
-            cls_idx.append(cid)
-            n += 1
-        elif tag == 4:
-            _, w, addrs, inv_lat, occ1, write, _nh0, _ft = it
-            nh = nm = 0
-            for a in addrs:
-                l2a = a >> l2_shift
-                ways = l2_sets[l2a % l2_num]
-                if ways.pop(l2a, None) is not None:
-                    ways[l2a] = True
-                    nh += 1
-                    continue
-                ways[l2a] = True
-                if len(ways) > l2_assoc:
-                    ways.pop(next(iter(ways)))
-                if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                    nh += 1
-                else:
-                    nm += 1
-                    if pf2 is not None:
-                        pf2.observe(l2, l2a)
-            key = (4, w, inv_lat, occ1, write, nh, nm)
-            cid = cls_ids.get(key)
-            if cid is None:
-                cid = cls_ids[key] = len(cls_defs)
-                cls_defs.append((4, w, inv_lat, occ1, write, nh, nm))
-                wh_by_cls.append(w * nh)
-                wm_by_cls.append(w * nm)
-                if nm > max_nm:
-                    max_nm = nm
-            base_vals.append(0.0)
-            kid_col.append(cur_kid)
-            cls_pos.append(n)
-            cls_idx.append(cid)
-            n += 1
-        elif tag == 6:
-            key = (6, it[1], it[2])
-            cid = cls_ids.get(key)
-            if cid is None:
-                cid = cls_ids[key] = len(cls_defs)
-                cls_defs.append(key)
-                wh_by_cls.append(0.0)
-                wm_by_cls.append(0.0)
-            base_vals.append(0.0)
-            kid_col.append(cur_kid)
-            cls_pos.append(n)
-            cls_idx.append(cid)
-            n += 1
-        elif tag == 1:
-            kid = label_ids.get(it[1])
-            if kid is None:
-                kid = label_ids[it[1]] = len(labels)
-                labels.append(it[1])
-            cur_kid = kid
+                    if pf is not None:
+                        pf.observe(l2, l2a)
+            nh_append(nh)
+            nm_append(nm)
         elif tag == 2:
             note_range(it[1], it[2])
             ranges = hier._ranges
@@ -2192,12 +1382,42 @@ def _compile_walk(prog: list, gc: dict, machine: MachineConfig) -> _VecProgram:
                     ways[la] = False
                     if len(ways) > l2_assoc:
                         ways.pop(next(iter(ways)))
+    return (
+        np.frombuffer(nh_col, dtype=np.int64),
+        np.frombuffer(nm_col, dtype=np.int64),
+    )
+
+
+def _intern(skel: _Skeleton, nh: np.ndarray, nm: np.ndarray) -> _VecProgram:
+    """Intern a walk outcome into the pricing classes of a
+    :class:`_VecProgram`: one class per distinct ``(bid, nh, nm)``."""
+    span = int(max(nh.max(initial=0), nm.max(initial=0))) + 1
+    key = skel.bid.astype(np.int64) * (span * span)
+    key[skel.is_event] += nh * span + nm
+    keys, cls_idx = np.unique(key, return_inverse=True)
+    cls_defs: list = []
+    wh_by_cls: list = []
+    wm_by_cls: list = []
+    max_nm = 0
+    for k in keys.tolist():
+        b, split = divmod(k, span * span)
+        h, m = divmod(split, span)
+        d = skel.base_defs[b]
+        if d[0] == 6:
+            cls_defs.append(d)
+            wh_by_cls.append(0.0)
+            wm_by_cls.append(0.0)
+        else:
+            cls_defs.append(d + (h, m))
+            wh_by_cls.append(d[1] * h)
+            wm_by_cls.append(d[1] * m)
+            max_nm = max(max_nm, m)
     cols = _VecProgram()
-    cols.base = np.asarray(base_vals, dtype=np.float64)
-    cols.kid = np.asarray(kid_col, dtype=np.int64)
-    cols.labels = labels
-    cols.cls_pos = np.asarray(cls_pos, dtype=np.int64)
-    cols.cls_idx = np.asarray(cls_idx, dtype=np.int64)
+    cols.base = skel.base
+    cols.kid = skel.kid
+    cols.labels = skel.labels
+    cols.cls_pos = skel.cls_pos
+    cols.cls_idx = cls_idx
     cols.cls_defs = cls_defs
     cols.wh_by_cls = np.asarray(wh_by_cls, dtype=np.float64)
     cols.wm_by_cls = np.asarray(wm_by_cls, dtype=np.float64)
@@ -2208,9 +1428,9 @@ def _compile_walk(prog: list, gc: dict, machine: MachineConfig) -> _VecProgram:
 def _point_pass_vec(
     cols: _VecProgram, inv: SimStats, machine: MachineConfig, gc: dict
 ) -> SimStats:
-    """Price a compiled program on one point with column arithmetic.
+    """Price a walk outcome's columns on one point with column arithmetic.
 
-    Bitwise identical to :func:`_point_pass_fast` on the same point:
+    Bitwise identical to direct simulation of the point:
     ``np.add.accumulate`` and ``np.bincount`` with weights both fold
     strictly left-to-right (no pairwise reassociation), class prices
     are computed with the scalar formulas shared with the simulator,
@@ -2265,18 +1485,19 @@ def _point_pass_vec(
         contrib = cols.base.copy()
         if len(cols.cls_pos):
             contrib[cols.cls_pos] = wc_by_cls[cols.cls_idx]
-        out.cycles = float(np.add.accumulate(contrib)[-1])
         binc = np.bincount(
             cols.kid, weights=contrib, minlength=len(cols.labels)
         )
         out.kernel_cycles = {
             label: float(binc[i]) for i, label in enumerate(cols.labels)
         }
+        # In place: the running sums need no second column.
+        out.cycles = float(np.add.accumulate(contrib, out=contrib)[-1])
     if len(cols.cls_pos):
         wh_seq = cols.wh_by_cls[cols.cls_idx]
         wm_seq = cols.wm_by_cls[cols.cls_idx]
-        out.l2_hits = float(np.add.accumulate(wh_seq)[-1])
-        out.l2_misses = float(np.add.accumulate(wm_seq)[-1])
+        out.l2_hits = float(np.add.accumulate(wh_seq, out=wh_seq)[-1])
+        out.l2_misses = float(np.add.accumulate(wm_seq, out=wm_seq)[-1])
         out.dram_fills = out.l2_misses
     for name in _INVARIANT_FIELDS:
         setattr(out, name, getattr(inv, name))
@@ -2300,48 +1521,31 @@ def _run_points(
 ) -> List[SimStats]:
     """Price the shared-pass program on every machine of the group.
 
+    Every point takes one route: skeleton -> walk -> intern -> price.
+    Its walk outcome is keyed by a *tier*: ``fast:<budget>`` for a
+    conflict-free point (the outcome depends only on the L2 byte budget,
+    ``None`` when the residency ranges never trim), ``walk:<fp>``
+    otherwise (the L2 geometry and prefetcher fingerprint).  Per tier,
+    the compiled columns are loaded or walked once (:func:`_walk` in the
+    mode :func:`_walk_mode` picks, then :func:`_intern`); every point is
+    then priced with column arithmetic (:func:`_point_pass_vec`), and
+    points that also share ``(l2_latency, dram_latency,
+    dram_bytes_per_cycle, vpu)`` copy the first one's stats.  So a lane
+    sweep walks once, and on a constant-latency L2 model the large-cache
+    tail of a Fig. 7 sweep prices once.  The program skeleton
+    (:func:`_skeleton`) is built on the first tier miss and memoized in
+    *gc*, which the shared-pass memo holds.
+
     With *cache_ctx* — ``(trace_key, sig_token, trace_sha256, compat)``
-    — compiled tiers are exchanged with the on-disk pass cache: every
-    compile tries a ``load_vecprog`` first and persists its result on
-    a miss, and points that would take a per-point loop pass anyway
-    (singleton trimming budgets, full exact walks) route through the
-    compiler at the same cost so the tier exists for the next process.
-    Fast tiers additionally record the walk fingerprints of every
-    machine whose engine choice endorsed them, which is what lets the
-    warm :func:`replay_sweep_cached` path trust a fast tier without
-    re-deriving conflict-freedom from the program.
-
-    Per point, picks the cheapest valid engine:
-
-    * conflict-free points (no set over associativity, no prefetch
-      fills) have walk outcomes that depend only on the L2 byte budget
-      (``None`` when the residency ranges never trim): each budget
-      shared by two or more points is compiled once
-      (:func:`_compile_fast`) and every point priced with column
-      arithmetic (:func:`_point_pass_vec`); points that also share
-      ``(l2_latency, dram_latency, dram_bytes_per_cycle, vpu)`` are
-      exact duplicates and copy the owner's stats (on a
-      constant-latency L2 model this collapses the whole large-cache
-      tail of a Fig. 7 sweep into one pass, and a lane sweep into one
-      compile plus one cheap pricing per point).  A trimming budget
-      owned by a single point gains nothing from compiling (the
-      compile walk costs one pass) and runs :func:`_point_pass_fast`
-      instead, pairwise via :func:`_point_pass_fast2`;
-    * conflicted points of a group whose L2 geometry and prefetcher
-      are uniform (lane sweeps, DRAM-latency sweeps over a small L2)
-      run the exact cache walk once (:func:`_compile_walk`) and price
-      every point with column arithmetic;
-    * remaining points where under half the distinct lines map to
-      conflicted sets walk only those via :func:`_point_pass_hybrid`;
-    * everything else takes the exact cache walk of :func:`_point_pass`.
+    — tiers are exchanged with the on-disk pass cache: each is looked
+    up with ``load_vecprog`` first and persisted on a miss.  Fast tiers
+    additionally record the walk fingerprints of every machine that
+    chose them, which is what lets the warm :func:`replay_sweep_cached`
+    path trust a fast tier without re-deriving conflict-freedom from
+    the program.
     """
     distinct = gc["distinct"]
-    lines = (
-        np.fromiter(distinct, dtype=np.int64, count=len(distinct))
-        if distinct
-        else None
-    )
-    can_fast = not gc["has_fills"] and not gc["pf2_cfg"]
+    lines = np.fromiter(distinct, dtype=np.int64, count=len(distinct))
     max_total = gc["max_range_total"]
     if cache_ctx is not None:
         from ..core import tracecache
@@ -2381,149 +1585,46 @@ def _run_points(
             trace_sha256=digest, compat=compat,
         )
 
-    results: List[Optional[SimStats]] = [None] * len(machines)
-    fast_fps: dict = {}  # budget -> walk fps of endorsing machines
-    eq_owner = {}  # sig -> index of the point that computes it
-    eq_copies = []  # (index, owner index)
-    fast_cands = []  # (index, budget-or-None): conflict-free
-    walk_jobs = []  # indices: conflicted, uniform L2 walk
-    slow_jobs = []  # (index, hot-or-None)
-    # The full walk reads only the L2 geometry+prefetcher (latencies
-    # and VPU price, they don't steer); when those are uniform across
-    # the group, one walk resolves every point.
-    m0 = machines[0]
-    walk_uniform = len(machines) > 1 and all(
-        m.l2 == m0.l2 and m.l2_prefetcher == m0.l2_prefetcher
-        for m in machines[1:]
-    )
+    tiers: dict = {}  # token -> (tier, hot, indices of its points)
     for i, m in enumerate(machines):
-        engine = _point_pass
-        hot = None
-        if can_fast:
-            l2cfg = m.l2
-            num_sets = l2cfg.size_bytes // (l2cfg.assoc * l2cfg.line_bytes)
-            if num_sets > 0:
-                if lines is None:
-                    engine = _point_pass_fast
-                else:
-                    line_hot = (
-                        np.bincount(lines % num_sets)[lines % num_sets]
-                        > l2cfg.assoc
-                    )
-                    if not line_hot.any():
-                        engine = _point_pass_fast
-                    elif float(line_hot.mean()) < 0.5:
-                        engine = _point_pass_hybrid
-                        hot = set(lines[line_hot].tolist())
-        if engine is _point_pass_fast:
-            budget = (
+        hot = _walk_mode(gc, lines, m)
+        if hot is not None and not hot:
+            tier = _fast_tier(
                 None if max_total <= m.l2.size_bytes else m.l2.size_bytes
             )
-            fast_fps.setdefault(budget, set()).add(_machine_walk_fp(m))
-            sig = (
-                budget,
-                m.l2.latency,
-                m.dram_latency,
-                m.dram_bytes_per_cycle,
-                m.vpu,
-            )
-            owner = eq_owner.get(sig)
-            if owner is not None:
-                eq_copies.append((i, owner))
-                continue
-            eq_owner[sig] = i
-            fast_cands.append((i, budget))
-        elif walk_uniform:
-            sig = (
-                "walk",
-                m.l2.latency,
-                m.dram_latency,
-                m.dram_bytes_per_cycle,
-                m.vpu,
-            )
-            owner = eq_owner.get(sig)
-            if owner is not None:
-                eq_copies.append((i, owner))
-                continue
-            eq_owner[sig] = i
-            walk_jobs.append(i)
-        elif engine is _point_pass_hybrid:
-            slow_jobs.append((i, hot))
         else:
-            slow_jobs.append((i, None))
-    budget_count: dict = {}
-    for _, budget in fast_cands:
-        budget_count[budget] = budget_count.get(budget, 0) + 1
-    fast_jobs = []  # singleton trimming budgets: paired loop passes
-    cols_by_budget = {}
-    for i, budget in fast_cands:
-        if (
-            budget is not None
-            and budget_count[budget] < 2
-            and cache_ctx is None
-        ):
-            # A trimming budget owned by one point gains nothing from
-            # compiling unless the tier can be persisted for reuse.
-            fast_jobs.append(i)
-            continue
-        cols = cols_by_budget.get(budget)
-        if cols is None:
-            tier = _fast_tier(budget)
-            tier["fps"] = sorted(fast_fps.get(budget, ()))
-            cols = _load_tier(tier)
-            if cols is None:
-                view = (
-                    None
-                    if budget is None
-                    else MemoryHierarchy.pricing_view(machines[i])
-                )
-                cols = _compile_fast(prog, gc, view)
-                _store_tier(tier, cols)
-            cols_by_budget[budget] = cols
-        results[i] = _point_pass_vec(cols, inv, machines[i], gc)
-    j = 0
-    while j + 1 < len(fast_jobs):
-        ia, ib = fast_jobs[j], fast_jobs[j + 1]
-        results[ia], results[ib] = _point_pass_fast2(
-            prog, inv, machines[ia], machines[ib], gc
-        )
-        j += 2
-    if j < len(fast_jobs):
-        i = fast_jobs[j]
-        results[i] = _point_pass_fast(prog, inv, machines[i], gc)
-    if walk_jobs:
-        m = machines[walk_jobs[0]]
-        tier = _walk_tier(m)
+            tier = _walk_tier(m)
+        tier, hot, idxs = tiers.setdefault(tier["token"], (tier, hot, []))
+        idxs.append(i)
+        if tier["kind"] == "fast":
+            tier["fps"].append(_machine_walk_fp(m))
+
+    results: List[Optional[SimStats]] = [None] * len(machines)
+    while tiers:  # popping frees each hot set once its tier is priced
+        tier, hot, idxs = tiers.pop(next(iter(tiers)))
+        if tier["kind"] == "fast":
+            tier["fps"] = sorted(set(tier["fps"]))
         cols = _load_tier(tier)
         if cols is None:
-            cols = _compile_walk(prog, gc, m)
+            skel = gc.get("skeleton")
+            if skel is None:
+                skel = gc["skeleton"] = _skeleton(prog)
+            cols = _intern(skel, *_walk(skel, gc, machines[idxs[0]], hot))
             _store_tier(tier, cols)
-        for i in walk_jobs:
-            results[i] = _point_pass_vec(cols, inv, machines[i], gc)
-    for i, hot in slow_jobs:
-        m = machines[i]
-        if cache_ctx is not None:
-            tier = _walk_tier(m)
-            cols = _load_tier(tier)
-            if cols is None and hot is None:
-                # The full exact walk costs the same whether it prices
-                # one point or compiles a reusable tier.
-                cols = _compile_walk(prog, gc, m)
-                _store_tier(tier, cols)
-            if cols is not None:
-                results[i] = _point_pass_vec(cols, inv, m, gc)
-                continue
-        results[i] = (
-            _point_pass_hybrid(prog, inv, m, gc, hot)
-            if hot is not None
-            else _point_pass(prog, inv, m, gc)
-        )
-    for i, owner in eq_copies:
-        results[i] = _copy_stats(results[owner])
+        owner: dict = {}  # pricing signature -> index of the priced point
+        for i in idxs:
+            m = machines[i]
+            sig = (m.l2.latency, m.dram_latency, m.dram_bytes_per_cycle, m.vpu)
+            j = owner.setdefault(sig, i)
+            results[i] = (
+                _point_pass_vec(cols, inv, m, gc)
+                if j == i
+                else _copy_stats(results[j])
+            )
     return results
 
 
-# Memo for _shared_pass results across replay_sweep calls.  A session
+# Memo for shared-pass results across replay_sweep calls.  A session
 # replaying several pricing axes from one capture (the paper-figures
 # flow: L2 size, DRAM latency, DRAM bandwidth, lanes) would otherwise
 # re-walk the full event stream once per axis — by far the dominant
@@ -2533,9 +1634,10 @@ def _run_points(
 # base config (the normalization mirrors group_mode: every
 # per-point-priced field is canonicalised away, so two bases that
 # would group together share an entry).  The cached (prog, inv, gc)
-# is treated as immutable by every point engine.  Sized for the
-# paper-figures flow: one always-deferred entry per live VL capture
-# (Figs. 6/8 sweep eight) plus slack for direct _shared_pass callers.
+# is treated as immutable by the point pipeline, which only adds the
+# lazily built program skeleton to gc.  Sized for the paper-figures
+# flow: one always-deferred entry per live VL capture (Figs. 6/8 sweep
+# eight) plus slack for other trace-keyed callers.
 _SHARED_PASS_MEMO: "dict" = {}
 _SHARED_PASS_MEMO_MAX = 16
 
@@ -2594,7 +1696,7 @@ def _shared_pass_cached(
     trace: RecordedTrace, base: MachineConfig, defer_vpu: bool
 ):
     if not trace.key:
-        return _shared_pass(trace, base, defer_vpu=defer_vpu)
+        return _shared_pass_vec(trace, base, defer_vpu=defer_vpu)
     from ..core import tracecache
 
     digest = trace.content_digest()
@@ -2614,7 +1716,7 @@ def _shared_pass_cached(
             out = (prog, _inv_from_fields(inv_fields), gc)
             from_disk = True
     if out is None:
-        out = _shared_pass(trace, base, defer_vpu=defer_vpu)
+        out = _shared_pass_vec(trace, base, defer_vpu=defer_vpu)
     while len(_SHARED_PASS_MEMO) >= _SHARED_PASS_MEMO_MAX:
         _SHARED_PASS_MEMO.pop(next(iter(_SHARED_PASS_MEMO)))
     _SHARED_PASS_MEMO[key] = out
@@ -2787,8 +1889,8 @@ def _cached_point(
     group constants, so nothing else needs decoding.  A walk tier's
     token is derived from this machine's own L2 walk fields, so a
     token match is validity; a fast tier is only trusted when this
-    machine's walk fingerprint is recorded in it (the engine choice
-    that compiled it was made for exactly this L2/prefetcher, so the
+    machine's walk fingerprint is recorded in it (the walk-mode choice
+    that built it was made for exactly this L2/prefetcher, so the
     conflict-free eligibility and budget decision are known to apply).
     """
     from ..core import tracecache

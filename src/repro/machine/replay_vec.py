@@ -33,8 +33,8 @@ walk-dependent invariant fields (``l1_hits``, ``l1_misses``,
 walk events, in walk order, so the fold is unchanged.
 
 Hex identity with the reference loop is enforced across all machine
-presets by tests/test_replay_vec.py; pick the loop explicitly with
-``REPRO_REPLAY_ENGINE=python`` (see ``replay._shared_pass``).
+presets by tests/test_replay_vec.py.  Sweeps always run this engine;
+the loop is kept only as the oracle those tests check it against.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ its cold capture run — serial and parallel, spill on or off.
 
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,12 +22,14 @@ from repro.core.codesign import sweep_vector_lengths
 from repro.machine import rvv_gem5
 from repro.machine.replay import (
     _INVARIANT_FIELDS,
-    _compile_fast,
-    _shared_pass,
+    _intern,
     _run_points,
+    _skeleton,
+    _walk,
     replay_sweep,
     replay_sweep_cached,
 )
+from repro.machine.replay_vec import _shared_pass_vec
 from repro.machine.simulator import SimStats
 from repro.machine.trace import TraceRecorder
 from repro.nets import ConvLayer, KernelPolicy, MaxPoolLayer, Network
@@ -188,7 +191,7 @@ def shared_pass_fixture():
     rec = TraceRecorder(m)
     small_net()._emit_trace(rec, KernelPolicy(), None, True)
     trace = rec.finish(key="passchk")
-    prog, inv, gc = _shared_pass(trace, m, defer_vpu=True)
+    prog, inv, gc = _shared_pass_vec(trace, m, defer_vpu=True)
     inv_fields = {f: getattr(inv, f) for f in _INVARIANT_FIELDS}
     return m, trace, prog, inv_fields, gc
 
@@ -232,7 +235,8 @@ class TestStoreLoad:
     def test_vecprog_roundtrip(self, cache_dir):
         m, trace, prog, inv_fields, gc = shared_pass_fixture()
         digest = trace.content_digest()
-        cols = _compile_fast(prog, gc, None)
+        skel = _skeleton(prog)
+        cols = _intern(skel, *_walk(skel, gc, m, set()))
         cols_dict = {s: getattr(cols, s) for s in cols.__slots__}
         tier = {"kind": "fast", "token": "f" * 12, "desc": "fast:None",
                 "fps": ["fp1"]}
@@ -277,8 +281,8 @@ class TestMemoDigestKeying:
         assert tr_a.content_digest() != tr_b.content_digest()
         got_a = replay_sweep(tr_a, [m])[0]
         got_b = replay_sweep(tr_b, [m])[0]
-        want_a = _run_points(*_shared_pass(tr_a, m, defer_vpu=True), [m])[0]
-        want_b = _run_points(*_shared_pass(tr_b, m, defer_vpu=True), [m])[0]
+        want_a = _run_points(*_shared_pass_vec(tr_a, m, defer_vpu=True), [m])[0]
+        want_b = _run_points(*_shared_pass_vec(tr_b, m, defer_vpu=True), [m])[0]
         assert hexs(got_a) == hexs(want_a)
         assert hexs(got_b) == hexs(want_b)
         assert hexs(got_a) != hexs(got_b)
@@ -340,6 +344,47 @@ class TestWarmSweeps:
             for f in os.listdir(tmp_path)
         )
         reset_process_state()
+
+    def test_hybrid_point_served_from_its_walk_tier(
+        self, cache_dir, monkeypatch
+    ):
+        """A hybrid-mode point persists its walk as a ``walk:<fp>``
+        tier, so a warm singleton never decodes the shared pass."""
+        from repro.machine import replay as R
+        from repro.nets.zoo import yolov3_tiny
+
+        def machine(vlen):
+            return rvv_gem5(vlen_bits=vlen, lanes=4, l2_mb=1)
+
+        net = yolov3_tiny()
+        cold = sweep_vector_lengths(
+            net, [1024, 2048], machine, KernelPolicy(), n_layers=3,
+            use_cache=False,
+        )
+        assert cold.sources == ["captured", "captured"]
+        reset_process_state()
+        m = machine(2048)
+        key = tc.trace_key(net, m, KernelPolicy(), 3)
+        prog, inv, gc = _shared_pass_vec(
+            net.record_trace(m, KernelPolicy(), n_layers=3), m,
+            defer_vpu=True,
+        )
+        lines = np.fromiter(gc["distinct"], dtype=np.int64)
+        assert R._walk_mode(gc, lines, m)  # a non-empty hot set: hybrid
+        calls = []
+        served = []
+        orig_cached = R._cached_point
+        monkeypatch.setattr(
+            tc, "load_pass", lambda *a: calls.append(a) or None
+        )
+        monkeypatch.setattr(
+            R, "_cached_point",
+            lambda *a: served.append(orig_cached(*a)) or served[-1],
+        )
+        warm = replay_sweep_cached(key, [m])
+        assert warm is not None and served[0] is not None
+        assert calls == []
+        assert hexs(warm[0]) == hexs(cold.stats[1])
 
     def test_cached_entry_miss_returns_none(self, cache_dir):
         m = rvv_gem5(vlen_bits=512, lanes=4, l2_mb=1)

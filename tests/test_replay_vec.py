@@ -13,12 +13,7 @@ for any drift between the two engines.
 import pytest
 
 from repro.machine import a64fx, rvv_gem5, sve_gem5
-from repro.machine.replay import (
-    _replay_engine,
-    _run_points,
-    _shared_pass,
-    _shared_pass_python,
-)
+from repro.machine.replay import _run_points, _shared_pass_python
 from repro.machine.replay_vec import _shared_pass_vec
 from repro.machine.simulator import SimStats
 from repro.machine.trace import TraceRecorder
@@ -132,31 +127,3 @@ class TestEngineIdentity:
         rec = TraceRecorder(m)
         trace = rec.finish(key="empty")
         assert_passes_price_identically(trace, m, True)
-
-
-class TestEngineDispatch:
-    def test_default_is_vectorized(self, monkeypatch):
-        monkeypatch.delenv("REPRO_REPLAY_ENGINE", raising=False)
-        assert _replay_engine() == "vec"
-
-    @pytest.mark.parametrize("val,expect", [
-        ("python", "python"), ("vec", "vec"), ("vectorized", "vec"),
-    ])
-    def test_env_selects_engine(self, monkeypatch, val, expect):
-        monkeypatch.setenv("REPRO_REPLAY_ENGINE", val)
-        assert _replay_engine() == expect
-
-    def test_invalid_engine_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLAY_ENGINE", "cuda")
-        with pytest.raises(ValueError, match="REPRO_REPLAY_ENGINE"):
-            _replay_engine()
-
-    def test_dispatch_is_bitwise_equivalent(self, monkeypatch):
-        m = rvv_gem5(vlen_bits=1024, lanes=4)
-        trace = capture(m, KernelPolicy())
-        monkeypatch.setenv("REPRO_REPLAY_ENGINE", "python")
-        via_py = _run_points(*_shared_pass(trace, m, defer_vpu=True), [m])[0]
-        monkeypatch.setenv("REPRO_REPLAY_ENGINE", "vec")
-        via_vec = _run_points(*_shared_pass(trace, m, defer_vpu=True), [m])[0]
-        for f in SimStats.FIELDS:
-            assert getattr(via_py, f).hex() == getattr(via_vec, f).hex(), f

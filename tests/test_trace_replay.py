@@ -14,20 +14,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import sweep_cache_sizes, sweep_lanes, tracecache
 from repro.core.codesign import SweepResult
 from repro.machine import a64fx, rvv_gem5, sve_gem5
-from repro.machine.hierarchy import MemoryHierarchy
 from repro.machine.replay import (
     _GroupCapture,
-    _compile_fast,
-    _compile_walk,
-    _point_pass,
-    _point_pass_fast,
-    _point_pass_fast2,
-    _point_pass_hybrid,
+    _hot_mask,
+    _intern,
     _point_pass_vec,
+    _skeleton,
+    _walk,
     capture_sweep,
     group_mode,
     nonuniform_fields,
@@ -215,109 +214,128 @@ class TestBitwiseIdentity:
         assert_bitwise(replay(trace, m), replay(loaded, m))
 
 
-class TestPointPassEngines:
-    """The specialised point passes must agree with the full walk.
+def spy_walks(monkeypatch):
+    """Record the mode of every :func:`_walk` call (``"exact"``,
+    ``"hybrid"`` or ``"free"``) and the group constants it saw."""
+    from repro.machine import replay as R
 
-    ``_run_points`` routes each design point to the cheapest engine its
-    cache pressure allows (full walk / hybrid hot-set / conflict-free
-    fast, pairwise-fused).  Here each engine is run explicitly against
-    the full walk on the same shared program.
+    walks = []
+    orig = R._walk
+
+    def spy(skel, gc, machine, hot):
+        mode = "exact" if hot is None else ("hybrid" if hot else "free")
+        walks.append((mode, gc))
+        return orig(skel, gc, machine, hot)
+
+    monkeypatch.setattr(R, "_walk", spy)
+    return walks
+
+
+class TestWalkModes:
+    """Every point prices through one pipeline: skeleton -> walk ->
+    intern -> ``_point_pass_vec``.  The walk has three modes (exact,
+    hybrid over the hot sets, conflict-free); every mode valid for a
+    point must resolve the same per-event L2 split, and the mode
+    ``_run_points`` picks must price bitwise like direct simulation.
+    These call ``capture_sweep``/``replay_sweep`` directly: ``sweep()``
+    would turn a broken walk into a slow but correct direct simulation.
     """
 
     @pytest.fixture(scope="class")
     def captured(self):
+        m0 = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=1)
+        cap = _GroupCapture(m0, defer_vpu=True)
+        yolov3_tiny()._emit_trace(cap, KernelPolicy(), 6, True)
+        prog, inv, gc = cap.finish()
+        assert not gc["has_fills"] and not gc["pf2_cfg"]
+        lines = np.fromiter(gc["distinct"], dtype=np.int64)
+        return m0, prog, inv, gc, _skeleton(prog), lines
+
+    @settings(max_examples=25, deadline=None)
+    @given(assoc=st.sampled_from([1, 2, 4, 8, 16]),
+           sets_log2=st.integers(min_value=4, max_value=14))
+    def test_walk_modes_agree(self, captured, assoc, sets_log2):
+        m0, prog, inv, gc, skel, lines = captured
+        l2 = replace(m0.l2, assoc=assoc,
+                     size_bytes=m0.l2.line_bytes * assoc << sets_log2)
+        m = m0.with_(l2=l2)
+        # Empty: conflict-free; else hybrid, valid whatever the hot share.
+        hot = set(lines[_hot_mask(lines, m)].tolist())
+        exact = _walk(skel, gc, m, None)
+        other = _walk(skel, gc, m, hot)
+        assert (exact[0] == other[0]).all() and (exact[1] == other[1]).all()
+        assert_bitwise(
+            _point_pass_vec(_intern(skel, *exact), inv, m, gc),
+            _point_pass_vec(_intern(skel, *other), inv, m, gc),
+        )
+
+    def test_exact_walk_matches_direct_simulation(self, monkeypatch):
+        """a64fx has an L2 prefetcher and honours software prefetches
+        (the 6-loop GEMM issues them), so only the exact walk is valid
+        and its prefetcher and tag-5 fill branches run."""
+        net = yolov3_tiny()
+        policy = KernelPolicy(gemm="6loop")
+        base = a64fx()
+        machines = [base.with_(l2=replace(base.l2, size_bytes=mb << 20))
+                    for mb in (1, 8)]
+        walks = spy_walks(monkeypatch)
+        fused = capture_sweep(
+            lambda sim: net._emit_trace(sim, policy, 3, True), machines
+        )
+        trace = net.record_trace(machines[0], policy, n_layers=3)
+        replayed = replay_sweep(trace, machines)
+        assert [w[0] for w in walks] == ["exact"] * 4
+        assert all(gc["has_fills"] and gc["pf2_cfg"] for _, gc in walks)
+        for m, f, r in zip(machines, fused, replayed):
+            want = net.simulate(m, policy, n_layers=3, use_cache=False,
+                                use_trace=False)
+            assert_bitwise(want, f)
+            assert_bitwise(want, r)
+
+    def test_run_points_selects_each_walk_mode(self, monkeypatch):
+        """An L2 sweep of this net runs every walk mode once per tier."""
         net = yolov3_tiny()
         m0 = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=1)
-        cap = _GroupCapture(m0)
-        net._emit_trace(cap, KernelPolicy(), 6, True)
-        return cap.finish()
-
-    def test_hybrid_matches_full(self, captured):
-        prog, inv, gc = captured
-        assert not gc["has_fills"] and not gc["pf2_cfg"]
-        m = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=1)
-        num_sets = m.l2.size_bytes // m.l2.line_bytes // m.l2.assoc
-        lines = np.fromiter(gc["distinct"], dtype=np.int64)
-        sets = lines % num_sets
-        hot_mask = np.bincount(sets)[sets] > m.l2.assoc
-        # The 1 MB point of this net sits in hybrid territory: a few
-        # overcommitted sets, everything else conflict-free.
-        assert 0 < hot_mask.sum() < len(lines)
-        hot = set(lines[hot_mask].tolist())
-        assert_bitwise(
-            _point_pass(prog, inv, m, gc),
-            _point_pass_hybrid(prog, inv, m, gc, hot),
-        )
-
-    def test_fast_and_fast2_match_full(self, captured):
-        prog, inv, gc = captured
-        ma = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=64)
-        mb = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=256)
-        ref_a = _point_pass(prog, inv, ma, gc)
-        ref_b = _point_pass(prog, inv, mb, gc)
-        assert_bitwise(ref_a, _point_pass_fast(prog, inv, ma, gc))
-        pair = _point_pass_fast2(prog, inv, ma, mb, gc)
-        assert_bitwise(ref_a, pair[0])
-        assert_bitwise(ref_b, pair[1])
-
-    def test_budget_compile_matches_fast_when_trimming(self, captured):
-        """A finite-budget compile resolves trimming range walks into
-        the same classes the loop pass prices event by event."""
-        prog, inv, gc = captured
-        m = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=2)
-        assert gc["max_range_total"] > m.l2.size_bytes  # ranges trim here
-        cols = _compile_fast(prog, gc, MemoryHierarchy.pricing_view(m))
-        assert_bitwise(
-            _point_pass_fast(prog, inv, m, gc),
-            _point_pass_vec(cols, inv, m, gc),
-        )
-
-    def test_walk_compile_matches_full_on_lane_group(self):
-        """A conflicted lane group (uniform 1 MB L2, varying lanes)
-        resolves its cache walk once and vec-prices every point."""
-        net = yolov3_tiny()
-        machines = [
-            rvv_gem5(vlen_bits=1024, lanes=l, l2_mb=1) for l in (2, 4, 8)
-        ]
-        cap = _GroupCapture(machines[0], defer_vpu=True)
-        net._emit_trace(cap, KernelPolicy(), 6, True)
-        prog, inv, gc = cap.finish()
-        cols = _compile_walk(prog, gc, machines[0])
-        for m in machines:
-            assert_bitwise(
-                _point_pass(prog, inv, m, gc),
-                _point_pass_vec(cols, inv, m, gc),
-            )
-
-    def test_run_points_selects_all_engines(self, monkeypatch):
-        """An L2 sweep of this net routes through every engine."""
-        from repro.machine import replay as R
-
-        calls = []
-        for name in ("_point_pass", "_point_pass_hybrid", "_point_pass_vec",
-                     "_point_pass_fast2", "_compile_fast"):
-            orig = getattr(R, name)
-            monkeypatch.setattr(
-                R, name,
-                (lambda orig, name: lambda *a: (calls.append(name), orig(*a))[1])(
-                    orig, name
-                ),
-            )
-        net = yolov3_tiny()
-        sizes = [1, 2, 4, 64]  # hybrid; fast2 pair; vec (never-trimming)
-        machines = [rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=mb) for mb in sizes]
+        # 512 KB: exact; 1 MB: hybrid; 2 MB: conflict-free, trimming;
+        # 64 MB: conflict-free, never trimming.
+        machines = [m0.with_(l2=replace(m0.l2, size_bytes=kb << 10))
+                    for kb in (512, 1024, 2048, 65536)]
+        walks = spy_walks(monkeypatch)
         fused = capture_sweep(
             lambda sim: net._emit_trace(sim, KernelPolicy(), 6, True), machines
         )
+        assert [w[0] for w in walks] == ["exact", "hybrid", "free", "free"]
         for m, f in zip(machines, fused):
             assert_bitwise(direct(net, m, KernelPolicy(), 6), f)
-        assert "_point_pass_hybrid" in calls
-        # 2 MB and 4 MB trim alone (singleton budgets): the paired loop
-        # pass beats a compile nothing else reuses.
-        assert "_point_pass_fast2" in calls
-        # 64 MB never trims: compiled once, priced by column arithmetic.
-        assert calls.count("_point_pass_vec") == 1
-        assert calls.count("_compile_fast") == 1
+
+    def test_shared_budget_walks_once(self, monkeypatch):
+        """Two conflict-free points with one trimming L2 budget (a DRAM
+        latency pair) share a ``fast:<budget>`` walk."""
+        net = yolov3_tiny()
+        m0 = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=2)
+        machines = [m0, m0.with_(dram_latency=2 * m0.dram_latency)]
+        walks = spy_walks(monkeypatch)
+        fused = capture_sweep(
+            lambda sim: net._emit_trace(sim, KernelPolicy(), 6, True), machines
+        )
+        assert [w[0] for w in walks] == ["free"]
+        for m, f in zip(machines, fused):
+            assert_bitwise(direct(net, m, KernelPolicy(), 6), f)
+        assert hexs(fused[0]) != hexs(fused[1])
+
+    def test_lane_group_walks_once(self, monkeypatch):
+        """A conflicted lane group (uniform 1 MB L2, varying lanes)
+        shares one ``walk:<fp>`` tier: one walk prices every point."""
+        net = yolov3_tiny()
+        machines = [
+            rvv_gem5(vlen_bits=1024, lanes=n, l2_mb=1) for n in (2, 4, 8)
+        ]
+        trace = net.record_trace(machines[0], KernelPolicy(), n_layers=6)
+        walks = spy_walks(monkeypatch)
+        got = replay_sweep(trace, machines)
+        assert [w[0] for w in walks] == ["hybrid"]
+        for m, g in zip(machines, got):
+            assert_bitwise(direct(net, m, KernelPolicy(), 6), g)
 
 
 class TestTraceKey:
