@@ -25,8 +25,9 @@ per-column compressed blocks.  The address/size operand columns are
 delta + zigzag + varint encoded before block compression (zlib, or
 zstd when the ``zstandard`` package is importable) — trace addresses
 are bump-allocated and overwhelmingly sequential, so deltas are tiny
-and a multi-hundred-MB column set shrinks to a few MB.  Decoding
-recomputes the sha256 content digest and refuses (→ quarantine, see
+and a multi-hundred-MB column set shrinks to a few MB.  Each block
+carries a crc32 of its compressed bytes, and decoding recomputes the
+sha256 content digest; it refuses (→ quarantine, see
 repro.core.resilience) on any mismatch.
 
 Resolution of the ``use_trace`` tri-state (mirrors simcache):
@@ -363,7 +364,8 @@ def encode_trace(trace: RecordedTrace, level: str = "archive") -> bytes:
         codec, blob = compress(raw)
         blocks.append(blob)
         col_meta.append(
-            {"name": name, "filter": filt, "codec": codec, "nbytes": len(blob)}
+            {"name": name, "filter": filt, "codec": codec,
+             "nbytes": len(blob), "crc32": zlib.crc32(blob)}
         )
     header = json.dumps(
         {
@@ -419,6 +421,13 @@ def decode_trace(blob: bytes) -> RecordedTrace:
         block = blob[pos:pos + int(meta["nbytes"])]
         if len(block) != int(meta["nbytes"]):
             raise ValueError("truncated trace container")
+        # The block checksum covers the compressed bytes themselves: a
+        # deflate stream has bits (unused code lengths, padding) whose
+        # flip decodes to the same columns, which the content digest
+        # cannot see.  Containers written before it was added carry no
+        # checksum and rely on the content digest alone.
+        if "crc32" in meta and zlib.crc32(block) != int(meta["crc32"]):
+            raise ValueError(f"column {name!r}: block checksum mismatch")
         pos += len(block)
         raw = _decompress(meta["codec"], block)
         if filt == "delta":

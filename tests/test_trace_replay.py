@@ -251,16 +251,9 @@ class TestWalkModes:
         lines = np.fromiter(gc["distinct"], dtype=np.int64)
         return m0, prog, inv, gc, _skeleton(prog), lines
 
-    @settings(max_examples=25, deadline=None)
-    @given(assoc=st.sampled_from([1, 2, 4, 8, 16]),
-           sets_log2=st.integers(min_value=4, max_value=14))
-    def test_walk_modes_agree(self, captured, assoc, sets_log2):
-        m0, prog, inv, gc, skel, lines = captured
-        l2 = replace(m0.l2, assoc=assoc,
-                     size_bytes=m0.l2.line_bytes * assoc << sets_log2)
-        m = m0.with_(l2=l2)
-        # Empty: conflict-free; else hybrid, valid whatever the hot share.
-        hot = set(lines[_hot_mask(lines, m)].tolist())
+    @staticmethod
+    def assert_walks_agree(captured, m, hot):
+        _, _, inv, gc, skel, _ = captured
         exact = _walk(skel, gc, m, None)
         other = _walk(skel, gc, m, hot)
         assert (exact[0] == other[0]).all() and (exact[1] == other[1]).all()
@@ -268,6 +261,43 @@ class TestWalkModes:
             _point_pass_vec(_intern(skel, *exact), inv, m, gc),
             _point_pass_vec(_intern(skel, *other), inv, m, gc),
         )
+
+    @staticmethod
+    def with_l2(m0, assoc, sets_log2):
+        return m0.with_(l2=replace(
+            m0.l2, assoc=assoc, size_bytes=m0.l2.line_bytes * assoc << sets_log2
+        ))
+
+    @settings(max_examples=25, deadline=None)
+    @given(assoc=st.sampled_from([1, 2, 4, 8, 16]),
+           sets_log2=st.integers(min_value=4, max_value=14),
+           extra=st.integers(min_value=1, max_value=8))
+    def test_hybrid_walk_agrees_with_exact(
+        self, captured, assoc, sets_log2, extra
+    ):
+        """Hybrid is valid for any hot set holding every line of the
+        overfull sets: lines of the other sets never get evicted, so
+        walking a few of them too changes nothing.  The extra lines
+        keep the set non-empty, which would select conflict-free."""
+        m0, lines = captured[0], captured[5]
+        m = self.with_l2(m0, assoc, sets_log2)
+        hot = set(lines[_hot_mask(lines, m)].tolist())
+        hot |= set(lines[:: max(1, len(lines) // extra)].tolist())
+        self.assert_walks_agree(captured, m, hot)
+
+    @settings(max_examples=15, deadline=None)
+    @given(assoc=st.sampled_from([2, 4, 8, 16]),
+           slack=st.integers(min_value=0, max_value=2))
+    def test_conflict_free_walk_agrees_with_exact(self, captured, assoc, slack):
+        """From the smallest L2 of this associativity with no overfull
+        set (so range-budget trims still bite) up to four times it."""
+        m0, lines = captured[0], captured[5]
+        sets_log2 = next(
+            s for s in range(4, 24)
+            if not _hot_mask(lines, self.with_l2(m0, assoc, s)).any()
+        )
+        m = self.with_l2(m0, assoc, sets_log2 + slack)
+        self.assert_walks_agree(captured, m, set())
 
     def test_exact_walk_matches_direct_simulation(self, monkeypatch):
         """a64fx has an L2 prefetcher and honours software prefetches
