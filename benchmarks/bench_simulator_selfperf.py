@@ -15,6 +15,7 @@ sweeps are recorded in docs/PERFORMANCE.md.
 import gc
 import json
 import os
+import resource
 import shutil
 import tempfile
 import time
@@ -385,22 +386,18 @@ def test_point_pass_pipeline(benchmark, yolo_net):
     assert identical
 
 
-def test_shared_pass_engines(benchmark, yolo_net):
-    """Vectorized shared pass vs the per-event Python oracle, same trace.
+def test_shared_pass(benchmark, yolo_net):
+    """The shared pass over one captured YOLOv3 event stream.
 
-    Times ``_shared_pass_vec`` (columnar kernel grouping + batched
-    event expansion) against ``_shared_pass_python`` (the per-event
-    reference loop) over one captured YOLOv3 event stream, reporting
-    events/second for both.  The pass outputs must price to bitwise
-    identical statistics.  Both engines are L2-walk-bound on conflicted
-    traces, so no speedup is gated — the row exists to track the
-    trajectory of both engines across PRs (the follow-on that changes
-    this picture, a stack-distance batch walk, is sketched in
-    ROADMAP.md); the gate is only that the vectorized default stays
-    within noise of the oracle.
+    Times ``_shared_pass`` (the per-event loop that builds every replay
+    program) and reports events/second plus the growth of the process's
+    peak RSS across the pass (0 when an earlier stage of the process
+    already peaked higher).  The program must price the point bitwise
+    identically to per-event :func:`replay`.  No speed is gated: the
+    row tracks the pass across PRs (the follow-on that changes it, a
+    stack-distance batch walk, is sketched in ROADMAP.md).
     """
-    from repro.machine.replay import _run_points, _shared_pass_python
-    from repro.machine.replay_vec import _shared_pass_vec
+    from repro.machine.replay import _run_points, _shared_pass, replay
 
     n_layers = int(os.environ.get("REPRO_BENCH_SWEEP_LAYERS", "20") or "20")
     machine = rvv_gem5(vlen_bits=2048, lanes=8, l2_mb=1)
@@ -411,52 +408,46 @@ def test_shared_pass_engines(benchmark, yolo_net):
         trace = yolo_net.record_trace(machine, policy, n_layers=n_layers)
         gc.disable()
         try:
+            rss0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             t0 = time.perf_counter()
-            vec_out = _shared_pass_vec(trace, machine, defer_vpu=True)
-            t_vec = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            py_out = _shared_pass_python(trace, machine, defer_vpu=True)
-            t_py = time.perf_counter() - t0
-            vec_stats = _run_points(*vec_out, [machine])[0]
-            py_stats = _run_points(*py_out, [machine])[0]
+            out = _shared_pass(trace, machine, defer_vpu=True)
+            t_pass = time.perf_counter() - t0
+            rss1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            stats = _run_points(*out, [machine])[0]
+            del out
+            want = replay(trace, machine)
         finally:
             gc.enable()
             gc.collect()
             tracecache.clear_registry()
-        return vec_stats, py_stats, trace.n_events, t_vec, t_py
+        return stats, want, trace.n_events, t_pass, (rss1 - rss0) / 1024
 
-    vec_stats, py_stats, n_events, t_vec, t_py = run_once(benchmark, run)
+    stats, want, n_events, t_pass, rss_mb = run_once(benchmark, run)
 
     identical = all(
-        getattr(vec_stats, f).hex() == getattr(py_stats, f).hex()
+        getattr(stats, f).hex() == getattr(want, f).hex()
         for f in SimStats.FIELDS
-    ) and {k: v.hex() for k, v in vec_stats.kernel_cycles.items()} == {
-        k: v.hex() for k, v in py_stats.kernel_cycles.items()
+    ) and {k: v.hex() for k, v in stats.kernel_cycles.items()} == {
+        k: v.hex() for k, v in want.kernel_cycles.items()
     }
-    eps_vec = n_events / t_vec if t_vec > 0 else float("inf")
-    eps_py = n_events / t_py if t_py > 0 else float("inf")
+    eps = n_events / t_pass if t_pass > 0 else float("inf")
 
     row = {
-        "bench": "shared_pass_engines",
+        "bench": "shared_pass",
         "n_layers": n_layers,
         "n_events": n_events,
-        "python_pass_s": round(t_py, 4),
-        "vec_pass_s": round(t_vec, 4),
-        "python_events_per_s": round(eps_py),
-        "vec_events_per_s": round(eps_vec),
+        "pass_s": round(t_pass, 4),
+        "events_per_s": round(eps),
+        "peak_rss_delta_mb": round(rss_mb, 1),
         "bitwise_identical": identical,
     }
-    banner(f"Shared-pass engines (yolov3, {n_layers} layers)")
-    print(f"python oracle           : {t_py:.3f}s  ({eps_py / 1e3:,.0f}k ev/s)")
-    print(f"vectorized (default)    : {t_vec:.3f}s  ({eps_vec / 1e3:,.0f}k ev/s)")
+    banner(f"Shared pass (yolov3, {n_layers} layers)")
+    print(f"shared pass             : {t_pass:.3f}s  ({eps / 1e3:,.0f}k ev/s)")
+    print(f"peak RSS growth         : {rss_mb:.1f} MB")
     print("BENCH " + json.dumps(row, sort_keys=True))
     benchmark.extra_info.update(row)
 
     assert identical
-    # Non-regression only: the walk dominates both engines, so the
-    # vectorized default must merely not fall behind the oracle by more
-    # than timing noise allows.
-    assert eps_vec > 0.3 * eps_py
 
 
 def test_compiled_pass_cache_warm(benchmark, yolo_net, tmp_path):
@@ -485,7 +476,6 @@ def test_compiled_pass_cache_warm(benchmark, yolo_net, tmp_path):
         env = {
             "REPRO_TRACE_DIR": str(tmp_path),
             "REPRO_TRACE_SPILL": "1",
-            "REPRO_PASS_CACHE": "1",
         }
         old = {k: os.environ.get(k) for k in env}
         os.environ.update(env)

@@ -138,10 +138,6 @@ _declare(
     "REPRO_TRACE_LOAD_LOG", "path", "off",
     "append one '<pid> <source> <key>' line per cross-process trace load",
 )
-_declare(
-    "REPRO_PASS_CACHE", "tristate", "follows REPRO_TRACE_SPILL",
-    "persist compiled shared/point passes (.rpp/.rvp) next to traces",
-)
 # -- testing / benchmarks ----------------------------------------------
 _declare(
     "REPRO_FAULTS", "path", "off",

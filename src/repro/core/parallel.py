@@ -403,7 +403,7 @@ def simulate_points(
             # per worker lifetime instead of re-reading the spill per
             # task.  Best-effort; released after the pool is done.
             tracecache.publish_shm(key)
-            if tracecache.pass_cache_enabled():
+            if tracecache.spill_enabled():
                 # Likewise for a previously compiled shared pass: a
                 # warm .rpp in shm lets every worker skip the event
                 # walk (replay_sweep_cached) without touching disk.

@@ -82,7 +82,6 @@ __all__ = [
     "SPILL_SUFFIX",
     "PASS_SUFFIX",
     "VECPROG_SUFFIX",
-    "pass_cache_enabled",
     "encode_pass",
     "decode_pass",
     "store_pass",
@@ -104,11 +103,6 @@ _ENV_VERIFY = "REPRO_TRACE_VERIFY"
 #: attach or spill read) appends one ``"<pid> <source> <key>"`` line —
 #: the observability hook the single-load-per-worker test asserts on.
 _ENV_LOAD_LOG = "REPRO_TRACE_LOAD_LOG"
-#: Tri-state switch for the compiled-pass cache (``.rpp``/``.rvp``
-#: files next to the trace spills).  Unset, it follows
-#: :func:`spill_enabled` — persisting compiled passes only makes sense
-#: alongside persisted traces.
-_ENV_PASS = "REPRO_PASS_CACHE"
 
 #: In-process registry: key -> RecordedTrace.  Bounded — a 20-layer
 #: YOLOv3 trace is ~1.4M events (~60 MB columnar, more once decoded), so
@@ -127,7 +121,12 @@ _MAGIC = b"RTRC"
 #: outlive a re-captured trace.
 PASS_SUFFIX = ".rpp"
 VECPROG_SUFFIX = ".rvp"
-PASS_FORMAT_VERSION = 1
+#: Version 2: deferred-VPU pricing-class ids follow the per-event
+#: shared pass.  Version-1 files came from a deleted engine that
+#: numbered the same classes in another order, so an ``.rvp`` tier of
+#: theirs must never be priced against a version-2 program: they read
+#: as stale (quarantined, re-derived).
+PASS_FORMAT_VERSION = 2
 _PASS_MAGIC = b"RPSS"
 _VECPROG_MAGIC = b"RVPC"
 
@@ -147,21 +146,6 @@ def spill_enabled(flag: Optional[bool] = None) -> bool:
     if flag is not None:
         return flag
     return knobs.get_bool(_ENV_SPILL)
-
-
-def pass_cache_enabled(flag: Optional[bool] = None) -> bool:
-    """Resolve the compiled-pass-cache tri-state.
-
-    ``REPRO_PASS_CACHE=1/0`` forces it; unset, it follows
-    :func:`spill_enabled` so a spilling sweep persists its compiled
-    passes alongside the traces they derive from.
-    """
-    if flag is not None:
-        return flag
-    env = knobs.get_tristate(_ENV_PASS)
-    if env is not None:
-        return env
-    return spill_enabled()
 
 
 def spill_dir() -> str:

@@ -26,7 +26,12 @@ Three engines, three speed classes:
   (event kind, element count, operand shape) as a *pricing class*
   (tag-6 program items), and every point resolves the class table
   once against its own VPU before folding — so one capture prices a
-  whole lane sweep bitwise-identically to per-point simulation.
+  whole lane sweep bitwise-identically to per-point simulation.  The
+  shared pass over a recorded trace has one engine,
+  :func:`_shared_pass`: a per-event loop over the trace rows driving
+  a :class:`_GroupCapture`.  (A columnar NumPy twin was deleted: no
+  benchmark workload gained from it, and on 20-layer YOLOv3 it was
+  slower at ~1.7x the peak memory; docs/PERFORMANCE.md §5.)
 
 * :func:`capture_sweep` — the same split, but the shared pass is driven
   directly by the kernels (no intermediate trace): one kernel run prices
@@ -87,7 +92,6 @@ import numpy as np
 
 from .config import MachineConfig
 from .hierarchy import _VC_HIT_LATENCY, MemoryHierarchy
-from .replay_vec import _shared_pass_vec
 from .simulator import (
     _SCALAR_MLP,
     _SPILL_SERIALIZE_CYCLES,
@@ -1071,14 +1075,17 @@ def _vpu_price_table(classes: list, vpu, l1_lat, ooo_hide) -> list:
     return prices
 
 
-def _shared_pass_python(
+def _shared_pass(
     trace: RecordedTrace, base: MachineConfig, defer_vpu: bool = False
 ):
     """Drive a :class:`_GroupCapture` from a recorded trace's rows.
 
-    The per-event reference loop — the oracle the vectorized engine
-    (:func:`repro.machine.replay_vec._shared_pass_vec`) is verified
-    against in tests/test_replay_vec.py.
+    The one shared-pass engine: every replay route builds its
+    ``(prog, inv, gc)`` triple here, event by event, in trace order.
+    tests/test_shared_pass.py holds it hex-identical to per-event
+    :func:`replay` (and so to direct simulation) across presets,
+    kernel policies, deferred-VPU mode and a synthetic all-opcodes
+    trace.
     """
     cap = _GroupCapture(base, defer_vpu=defer_vpu)
     labels = trace.labels
@@ -1550,7 +1557,7 @@ def _run_points(
     if cache_ctx is not None:
         from ..core import tracecache
 
-        if not tracecache.pass_cache_enabled():
+        if not tracecache.spill_enabled():
             cache_ctx = None
 
     def _load_tier(tier):
@@ -1696,7 +1703,7 @@ def _shared_pass_cached(
     trace: RecordedTrace, base: MachineConfig, defer_vpu: bool
 ):
     if not trace.key:
-        return _shared_pass_vec(trace, base, defer_vpu=defer_vpu)
+        return _shared_pass(trace, base, defer_vpu=defer_vpu)
     from ..core import tracecache
 
     digest = trace.content_digest()
@@ -1707,7 +1714,7 @@ def _shared_pass_cached(
         return hit
     out = None
     from_disk = False
-    use_disk = tracecache.pass_cache_enabled()
+    use_disk = tracecache.spill_enabled()
     if use_disk:
         loaded = tracecache.load_pass(trace.key, _sig_token(sig), digest)
         if loaded is not None:
@@ -1716,7 +1723,7 @@ def _shared_pass_cached(
             out = (prog, _inv_from_fields(inv_fields), gc)
             from_disk = True
     if out is None:
-        out = _shared_pass_vec(trace, base, defer_vpu=defer_vpu)
+        out = _shared_pass(trace, base, defer_vpu=defer_vpu)
     while len(_SHARED_PASS_MEMO) >= _SHARED_PASS_MEMO_MAX:
         _SHARED_PASS_MEMO.pop(next(iter(_SHARED_PASS_MEMO)))
     _SHARED_PASS_MEMO[key] = out
@@ -1821,7 +1828,7 @@ def replay_sweep_cached(
     """
     from ..core import tracecache
 
-    if not key or not tracecache.pass_cache_enabled():
+    if not key or not tracecache.spill_enabled():
         return None
     machines = list(machines)
     if not machines:

@@ -107,13 +107,12 @@ def vl_axis_phase(net, policy, runtime_key, trace):
     """
     from repro.machine import replay
 
-    env_keys = ("REPRO_TRACE_DIR", "REPRO_TRACE_SPILL", "REPRO_PASS_CACHE")
+    env_keys = ("REPRO_TRACE_DIR", "REPRO_TRACE_SPILL")
     saved = {k: os.environ.get(k) for k in env_keys}
     timings = {}
     with tempfile.TemporaryDirectory(prefix="figures-vl-") as tmp:
         os.environ["REPRO_TRACE_DIR"] = tmp
         os.environ["REPRO_TRACE_SPILL"] = "1"
-        os.environ["REPRO_PASS_CACHE"] = "1"
         try:
             tc.clear_registry()
             replay._SHARED_PASS_MEMO.clear()

@@ -24,12 +24,12 @@ from repro.machine.replay import (
     _INVARIANT_FIELDS,
     _intern,
     _run_points,
+    _shared_pass,
     _skeleton,
     _walk,
     replay_sweep,
     replay_sweep_cached,
 )
-from repro.machine.replay_vec import _shared_pass_vec
 from repro.machine.simulator import SimStats
 from repro.machine.trace import TraceRecorder
 from repro.nets import ConvLayer, KernelPolicy, MaxPoolLayer, Network
@@ -176,7 +176,6 @@ def cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_SIMCACHE_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_TRACE_SPILL", "1")
-    monkeypatch.setenv("REPRO_PASS_CACHE", "1")
     tc.clear_registry()
     from repro.machine import replay
 
@@ -191,7 +190,7 @@ def shared_pass_fixture():
     rec = TraceRecorder(m)
     small_net()._emit_trace(rec, KernelPolicy(), None, True)
     trace = rec.finish(key="passchk")
-    prog, inv, gc = _shared_pass_vec(trace, m, defer_vpu=True)
+    prog, inv, gc = _shared_pass(trace, m, defer_vpu=True)
     inv_fields = {f: getattr(inv, f) for f in _INVARIANT_FIELDS}
     return m, trace, prog, inv_fields, gc
 
@@ -281,8 +280,8 @@ class TestMemoDigestKeying:
         assert tr_a.content_digest() != tr_b.content_digest()
         got_a = replay_sweep(tr_a, [m])[0]
         got_b = replay_sweep(tr_b, [m])[0]
-        want_a = _run_points(*_shared_pass_vec(tr_a, m, defer_vpu=True), [m])[0]
-        want_b = _run_points(*_shared_pass_vec(tr_b, m, defer_vpu=True), [m])[0]
+        want_a = _run_points(*_shared_pass(tr_a, m, defer_vpu=True), [m])[0]
+        want_b = _run_points(*_shared_pass(tr_b, m, defer_vpu=True), [m])[0]
         assert hexs(got_a) == hexs(want_a)
         assert hexs(got_b) == hexs(want_b)
         assert hexs(got_a) != hexs(got_b)
@@ -332,9 +331,7 @@ class TestWarmSweeps:
     ):
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_TRACE_SPILL", "0")
-        monkeypatch.delenv("REPRO_PASS_CACHE", raising=False)
         reset_process_state()
-        assert not tc.pass_cache_enabled()  # defaults to spill_enabled()
         cold = run_vl_sweep()
         warm = run_vl_sweep()  # in-process registry + memo only
         for a, b in zip(cold.stats, warm.stats):
@@ -365,7 +362,7 @@ class TestWarmSweeps:
         reset_process_state()
         m = machine(2048)
         key = tc.trace_key(net, m, KernelPolicy(), 3)
-        prog, inv, gc = _shared_pass_vec(
+        prog, inv, gc = _shared_pass(
             net.record_trace(m, KernelPolicy(), n_layers=3), m,
             defer_vpu=True,
         )
@@ -389,6 +386,52 @@ class TestWarmSweeps:
     def test_cached_entry_miss_returns_none(self, cache_dir):
         m = rvv_gem5(vlen_bits=512, lanes=4, l2_mb=1)
         assert replay_sweep_cached("nonexistent-key", [m]) is None
+
+
+# ----------------------------------------------------------------------
+# Containers of an older pass format read as stale
+# ----------------------------------------------------------------------
+class TestFormatStaleness:
+    def test_version_1_tier_misses_and_is_quarantined(self, cache_dir):
+        """Version-1 containers numbered deferred-VPU classes in another
+        order than today's shared pass, so they must never be served."""
+        from repro.machine import replay as R
+
+        m = rvv_gem5(vlen_bits=512, lanes=4, l2_mb=1)
+        net, policy = small_net(), KernelPolicy()
+        key = tc.trace_key(net, m, policy, None)
+        trace = net.record_trace(m, policy, key=key)
+        tc.put(key, trace, spill=True)
+        replay_sweep(trace, [m])  # stores the .rpp and the point's tier
+        paths = {
+            suffix: [os.path.join(str(cache_dir), n)
+                     for n in os.listdir(cache_dir) if n.endswith(suffix)]
+            for suffix in (tc.PASS_SUFFIX, tc.VECPROG_SUFFIX)
+        }
+        assert all(len(p) == 1 for p in paths.values())
+        for (path,) in paths.values():
+            blob = bytearray(open(path, "rb").read())
+            assert blob[4] == tc.PASS_FORMAT_VERSION == 2
+            blob[4] = 1
+            open(path, "wb").write(bytes(blob))
+        reset_process_state()
+
+        tok = R._sig_token(R._shared_pass_sig(m, True))
+        digest = trace.content_digest()
+        (tier_path,) = paths[tc.VECPROG_SUFFIX]
+        assert R._cached_point(key, tok, digest, m) is None
+        assert not os.path.exists(tier_path)
+        assert replay_sweep_cached(key, [m]) is None
+        (pass_path,) = paths[tc.PASS_SUFFIX]
+        assert not os.path.exists(pass_path)
+        quarantined = os.listdir(os.path.join(str(cache_dir), "quarantine"))
+        for (path,) in paths.values():
+            name = os.path.basename(path)
+            assert any(q.endswith("-" + name) for q in quarantined)
+
+        got = replay_sweep(tc.get(key, spill=True), [m])[0]
+        want = net.simulate(m, policy, use_cache=False, use_trace=False)
+        assert hexs(got) == hexs(want)
 
 
 # ----------------------------------------------------------------------

@@ -1,20 +1,19 @@
-"""Vectorized shared-pass engine: bitwise identity vs the Python oracle.
+"""The shared pass: bitwise identity with per-event replay.
 
-``repro.machine.replay_vec._shared_pass_vec`` re-implements the
-per-event reference loop (``replay._shared_pass_python``) with columnar
-NumPy passes.  The contract is the same strict one the rest of the
-replay engine lives under: the program it emits must price every design
-point to ``SimStats`` bitwise identical (``float.hex`` equal) to the
-oracle's — across presets, kernel policies, deferred-VPU mode, and a
-synthetic trace exercising every opcode.  These tests are the tripwire
-for any drift between the two engines.
+``repro.machine.replay._shared_pass`` is the one engine that turns a
+recorded trace into the ``(prog, inv, gc)`` triple every replay route
+prices.  Its contract is the strict one the rest of the replay engine
+lives under: pricing a machine from its program must give ``SimStats``
+bitwise identical (``float.hex`` equal) to :func:`replay`, the per-event
+oracle that feeds the trace through a real ``TraceSimulator`` — across
+presets, kernel policies, deferred-VPU mode, and a synthetic trace
+exercising every opcode.
 """
 
 import pytest
 
 from repro.machine import a64fx, rvv_gem5, sve_gem5
-from repro.machine.replay import _run_points, _shared_pass_python
-from repro.machine.replay_vec import _shared_pass_vec
+from repro.machine.replay import _run_points, _shared_pass, replay
 from repro.machine.simulator import SimStats
 from repro.machine.trace import TraceRecorder
 from repro.nets import ConvLayer, KernelPolicy, MaxPoolLayer, Network
@@ -31,7 +30,7 @@ def small_net():
 def capture(machine, policy):
     rec = TraceRecorder(machine)
     small_net()._emit_trace(rec, policy, None, True)
-    return rec.finish(key="vecchk")
+    return rec.finish(key="passchk")
 
 
 def synthetic_trace(machine):
@@ -74,24 +73,14 @@ def synthetic_trace(machine):
     return rec.finish(key="synth")
 
 
-def assert_passes_price_identically(trace, machine, defer):
-    """Both engines' outputs must price the point bitwise identically.
-
-    Compared through ``_run_points`` rather than item-by-item: deferred
-    class ids may be numbered differently between engines, but the
-    resolved prices (and every stat) must match exactly.
-    """
-    py = _shared_pass_python(trace, machine, defer_vpu=defer)
-    vec = _shared_pass_vec(trace, machine, defer_vpu=defer)
-    assert len(py[0]) == len(vec[0])
+def assert_prices_like_replay(trace, machine, defer):
+    """The shared pass must price *machine* exactly as :func:`replay`."""
+    got = _run_points(*_shared_pass(trace, machine, defer), [machine])[0]
+    want = replay(trace, machine)
     for f in SimStats.FIELDS:
-        assert getattr(py[1], f).hex() == getattr(vec[1], f).hex(), f
-    a = _run_points(*py, [machine])[0]
-    b = _run_points(*vec, [machine])[0]
-    for f in SimStats.FIELDS:
-        assert getattr(a, f).hex() == getattr(b, f).hex(), f
-    assert {k: v.hex() for k, v in a.kernel_cycles.items()} == {
-        k: v.hex() for k, v in b.kernel_cycles.items()
+        assert getattr(got, f).hex() == getattr(want, f).hex(), f
+    assert {k: v.hex() for k, v in got.kernel_cycles.items()} == {
+        k: v.hex() for k, v in want.kernel_cycles.items()
     }
 
 
@@ -106,24 +95,24 @@ POLICIES = [
 ]
 
 
-class TestEngineIdentity:
+class TestSharedPassIdentity:
     @pytest.mark.parametrize("factory", MACHINES)
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("defer", [False, True])
     def test_network_trace(self, factory, policy, defer):
         m = factory()
         trace = capture(m, policy)
-        assert_passes_price_identically(trace, m, defer)
+        assert_prices_like_replay(trace, m, defer)
 
     @pytest.mark.parametrize("factory", MACHINES)
     @pytest.mark.parametrize("defer", [False, True])
     def test_synthetic_all_opcodes(self, factory, defer):
         m = factory()
         trace = synthetic_trace(m)
-        assert_passes_price_identically(trace, m, defer)
+        assert_prices_like_replay(trace, m, defer)
 
     def test_empty_trace(self):
         m = rvv_gem5(vlen_bits=512)
         rec = TraceRecorder(m)
         trace = rec.finish(key="empty")
-        assert_passes_price_identically(trace, m, True)
+        assert_prices_like_replay(trace, m, True)
