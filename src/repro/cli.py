@@ -487,14 +487,16 @@ def _sweep_dry_run(args, net, policy, axis_name, values, factory) -> int:
     """``repro sweep --dry-run``: report planned work without simulating.
 
     Classifies every design point as sealed, journal-complete,
-    simcache-hit or pending, groups pending points by trace key (the
-    kernels run once per multi-point group), and lists quarantined
-    cache entries plus the grid's job-store state — the job record,
-    its lease (a stale lease means the job is adoptable), and whether
-    a sealed results record already answers the whole grid — all from
-    on-disk state; nothing is written.
+    simcache-hit or pending, plans the pending points as the sweep
+    would (:func:`repro.core.codesign.plan_groups`: the kernels run at
+    most once per trace group and once per direct point), and lists
+    quarantined cache entries plus the grid's job-store state — the
+    job record, its lease (a stale lease means the job is adoptable),
+    and whether a sealed results record already answers the whole
+    grid — all from on-disk state; nothing is written.
     """
-    from .core import simcache, tracecache
+    from .core import simcache
+    from .core.codesign import plan_groups
     from .core.resilience import (
         Journal,
         list_quarantined,
@@ -525,8 +527,7 @@ def _sweep_dry_run(args, net, policy, axis_name, values, factory) -> int:
         return 0
     journal = Journal.status(skey, n)
     cache_on = simcache.cache_enabled(args.simcache)
-    trace_on = tracecache.trace_enabled(args.trace, default=True)
-    rows, pending, groups = [], [], {}
+    rows, pending = [], []
     for i, (value, machine) in enumerate(zip(values, machines)):
         if i in journal.completed:
             state = "journal"
@@ -537,14 +538,12 @@ def _sweep_dry_run(args, net, policy, axis_name, values, factory) -> int:
         else:
             state = "pending"
             pending.append(i)
-            if trace_on:
-                key = tracecache.trace_key(net, machine, policy, args.layers, True)
-                groups.setdefault(key, []).append(i)
         rows.append({axis_name: value, "state": state})
-    shared = [idxs for idxs in groups.values() if len(idxs) > 1]
-    kernel_runs = len(shared) + sum(
-        1 for idxs in groups.values() if len(idxs) == 1
-    ) if trace_on else len(pending)
+    groups, direct = plan_groups(
+        net, [machines[i] for i in pending], policy, args.layers, args.trace
+    )
+    shared = sum(1 for idxs in groups.values() if len(idxs) > 1)
+    kernel_runs = len(groups) + len(direct)
     quarantined = list_quarantined()
     job_id = jobstore.job_id_for(skey)
     record = jobstore.load(job_id)
@@ -558,7 +557,7 @@ def _sweep_dry_run(args, net, policy, axis_name, values, factory) -> int:
         "journal_done": journal.done,
         "cached": sum(1 for r in rows if r["state"] == "cached"),
         "pending": len(pending),
-        "trace_groups": len(shared),
+        "trace_groups": shared,
         "estimated_kernel_runs": kernel_runs,
         "quarantined": len(quarantined),
         "sealed": False,
@@ -580,7 +579,7 @@ def _sweep_dry_run(args, net, policy, axis_name, values, factory) -> int:
         print(f"  journal failures (will retry): {summary['journal_failed']}")
     print(
         f"  estimated kernel runs: {kernel_runs} "
-        f"({len(shared)} shared trace group(s))"
+        f"({shared} shared trace group(s))"
     )
     if quarantined:
         print(f"  quarantined cache entries: {len(quarantined)} "
@@ -609,23 +608,10 @@ def cmd_sweep(args) -> int:
         prune=args.prune,
     )
     if args.as_json:
-        from .core.resilience import stats_payload
-
         doc = {
             "axis_name": res.axis_name,
             "axis": res.axis,
-            "points": [
-                {
-                    "source": res.source_of(i),
-                    **(
-                        {"failure": {"error": s.error, "exc_type": s.exc_type,
-                                     "attempts": s.attempts}}
-                        if res.source_of(i) == "failed"
-                        else {"stats": stats_payload(s)}
-                    ),
-                }
-                for i, s in enumerate(res.stats)
-            ],
+            "points": _points_doc(res.stats, res.sources),
         }
         print(json.dumps(doc, sort_keys=True))
     else:

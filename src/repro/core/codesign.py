@@ -11,13 +11,14 @@ and the ``sweep_*`` helpers reproduce the paper's parameter axes
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..machine.config import MachineConfig
 from ..machine.simulator import SimStats
 from ..nets.layers import KernelPolicy
 from ..nets.network import Network
 from ..testing import faults
+from . import simcache
 from .parallel import resolve_jobs, simulate_points
 from .resilience import (
     FailureBudget,
@@ -34,6 +35,8 @@ __all__ = [
     "DesignPoint",
     "SweepResult",
     "run_design_point",
+    "plan_groups",
+    "price_group",
     "sweep",
     "sweep_vector_lengths",
     "sweep_cache_sizes",
@@ -154,12 +157,100 @@ def run_design_point(
     )
 
 
+def plan_groups(
+    net: Network,
+    machines: Sequence[MachineConfig],
+    policy: KernelPolicy,
+    n_layers: Optional[int],
+    use_trace: Optional[bool],
+) -> Tuple[Dict[str, List[int]], List[int]]:
+    """The route plan of a sweep: ``(groups, direct)``.
+
+    *groups* maps each trace key (:func:`repro.core.tracecache.trace_key`)
+    to the positions in *machines* sharing that kernel event stream, in
+    order of first appearance; :func:`price_group` prices each.
+    *direct* lists the positions to simulate point by point: every
+    point when tracing is off, and the points of a multi-point group
+    that :func:`repro.machine.replay.group_mode` rejects — unless
+    ``use_trace=True`` was explicitly requested, in which case such a
+    group raises ``ValueError``.  Pure: nothing is captured or read.
+    """
+    from . import tracecache
+    from ..machine.replay import group_mode, nonuniform_fields
+
+    if not tracecache.trace_enabled(use_trace, default=True):
+        return {}, list(range(len(machines)))
+    groups: Dict[str, List[int]] = {}
+    for i, machine in enumerate(machines):
+        key = tracecache.trace_key(net, machine, policy, n_layers, True)
+        groups.setdefault(key, []).append(i)
+    direct: List[int] = []
+    for key, idxs in list(groups.items()):
+        group = [machines[i] for i in idxs]
+        if len(idxs) > 1 and group_mode(group) is None:
+            if use_trace is True:
+                # The caller explicitly demanded trace replay for an
+                # axis the pricing pass cannot express: fail loudly
+                # instead of silently simulating per point.
+                raise ValueError(
+                    "trace replay cannot price this sweep group: "
+                    "machines vary in "
+                    f"{', '.join(nonuniform_fields(group))} "
+                    "(see repro.machine.replay.supports_axis for "
+                    "replayable axes); drop use_trace=True to "
+                    "simulate per point"
+                )
+            direct.extend(idxs)
+            del groups[key]
+    return groups, sorted(direct)
+
+
+def price_group(
+    net: Network,
+    key: str,
+    machines: Sequence[MachineConfig],
+    policy: KernelPolicy,
+    n_layers: Optional[int],
+) -> Optional[Tuple[List[SimStats], List[str]]]:
+    """Price one trace group of :func:`plan_groups`: ``(stats, labels)``.
+
+    Routes, cheapest first: the compiled-pass cache
+    (:func:`~repro.machine.replay.replay_sweep_cached`, no trace
+    decode), then a held trace (:func:`repro.core.tracecache.get`: the
+    registry, shared memory, or a spill file — read whatever
+    ``REPRO_TRACE_SPILL`` says, because a pool parent forces its
+    captures to disk), then a capture.  A group of two or more points
+    captures with the fused :func:`~repro.machine.replay.capture_sweep`.
+    A single point (e.g. one VL point) captures only when traces spill,
+    because only then does the capture outlive the call; otherwise one
+    direct simulation is cheaper than capture + replay, and the result
+    is ``None`` — the caller simulates the point directly.
+    """
+    from . import tracecache
+    from ..machine.replay import capture_sweep, replay_sweep, replay_sweep_cached
+
+    priced = replay_sweep_cached(key, machines)
+    if priced is None and (trace := tracecache.get(key, spill=True)) is not None:
+        priced = replay_sweep(trace, machines)
+    if priced is not None:
+        return priced, ["replayed"] * len(machines)
+    if len(machines) > 1:
+        priced = capture_sweep(
+            lambda sim: net._emit_trace(sim, policy, n_layers, True), machines
+        )
+    elif tracecache.spill_enabled():
+        trace, _ = tracecache.get_or_capture(net, machines[0], policy, n_layers)
+        priced = replay_sweep(trace, machines)
+    if priced is None:
+        return None
+    return priced, ["captured"] + ["replayed"] * (len(machines) - 1)
+
+
 def _simulate_group(
     net: Network,
     machines: Sequence[MachineConfig],
     policy: KernelPolicy,
     n_layers: Optional[int],
-    use_cache: Optional[bool],
     use_trace: Optional[bool],
     indices: Optional[Sequence[int]] = None,
     retry: Optional[RetryPolicy] = None,
@@ -167,28 +258,13 @@ def _simulate_group(
     on_point=None,
     on_failure=None,
 ):
-    """Serially simulate one machine list with capture-once/replay-many.
+    """Serially simulate one machine list along the route plan.
 
-    Points are first resolved against the persistent result cache, then
-    grouped by trace key (:func:`repro.core.tracecache.trace_key`);
-    each replayable group (:func:`repro.machine.replay.group_mode` —
-    L2/DRAM sweeps and VPU-pricing sweeps like lanes/MLP) runs the
-    kernels once — via :func:`repro.machine.replay.capture_sweep`, or
-    :func:`~repro.machine.replay.replay_sweep` when the registry already
-    holds the trace — and prices every sibling from the shared stream.
-    Singleton groups (e.g. each point of a VL sweep, whose event
-    streams differ per point) capture a reusable trace and replay from
-    it, seeding the registry/spill so later sweeps along *any*
-    replayable axis price the figure without re-running kernels.
-    Every replayed point is priced by the one point pipeline of
-    :func:`repro.machine.replay._run_points` (skeleton, L2 walk,
-    intern, column pricing); with the pass cache on, each walk is
-    stored as an ``.rvp`` tier whatever its mode, so a warm group is
-    served by :func:`~repro.machine.replay.replay_sweep_cached`
-    without decoding the trace.
-    Groups varying in a genuinely un-replayable field fall back to
-    ordinary per-point simulation — or raise when ``use_trace=True``
-    was explicitly requested.
+    :func:`plan_groups` splits the points into trace groups and direct
+    points; :func:`price_group` prices each group (warm compiled pass,
+    held trace, or one capture for the whole group — see there for
+    when a singleton captures).  Direct points, and groups
+    :func:`price_group` declines, run the ordinary per-point simulation.
 
     Returns ``(stats, sources)`` in input order; statistics are bitwise
     identical to per-point simulation regardless of the path taken.
@@ -200,102 +276,31 @@ def _simulate_group(
     *on_failure* fire as each point settles — the journaling hook for
     resumable sweeps.
     """
-    from . import simcache, tracecache
-    from ..machine.replay import (
-        capture_sweep,
-        group_mode,
-        nonuniform_fields,
-        replay_sweep,
-        replay_sweep_cached,
-    )
-
     n = len(machines)
     indices = list(indices) if indices is not None else list(range(n))
     retry = retry if retry is not None else RetryPolicy.from_env()
     budget = budget if budget is not None else FailureBudget(retry.max_failures)
     stats: List[Optional[SimStats]] = [None] * n
     sources = ["direct"] * n
-    cache_on = simcache.cache_enabled(use_cache)
-    ckeys: List[Optional[str]] = [None] * n
-    pending = []
-    for i, machine in enumerate(machines):
-        if cache_on:
-            ckeys[i] = simcache.cache_key(net, machine, policy, n_layers, True)
-            hit = simcache.load(ckeys[i])
-            if hit is not None:
-                stats[i] = hit
-                sources[i] = "cached"
-                if on_point is not None:
-                    on_point(indices[i], hit, "cached")
-                continue
-        pending.append(i)
+    groups, _ = plan_groups(net, machines, policy, n_layers, use_trace)
+    for key, idxs in groups.items():
+        try:
+            for i in idxs:
+                faults.maybe_fault("worker.point", index=indices[i])
+            out = price_group(
+                net, key, [machines[i] for i in idxs], policy, n_layers
+            )
+        except Exception:
+            continue  # degrade the group to the per-point loop below
+        if out is None:
+            continue  # priced directly below
+        for i, st, label in zip(idxs, *out):
+            stats[i] = st
+            sources[i] = label
+            if on_point is not None:
+                on_point(indices[i], st, label)
 
-    # Tracing defaults ON for sweeps: capture costs ~1/10 of pricing, so
-    # it pays for itself from the second point of a group onwards — and
-    # singleton groups still capture, seeding the registry/spill so the
-    # next sweep sharing the key replays instead of re-simulating.
-    if tracecache.trace_enabled(use_trace, default=True) and pending:
-        groups: Dict[str, List[int]] = {}
-        for i in pending:
-            key = tracecache.trace_key(net, machines[i], policy, n_layers, True)
-            groups.setdefault(key, []).append(i)
-        for key, idxs in groups.items():
-            group = [machines[i] for i in idxs]
-            if len(idxs) > 1 and group_mode(group) is None:
-                if use_trace is True:
-                    # The caller explicitly demanded trace replay for an
-                    # axis the pricing pass cannot express: fail loudly
-                    # instead of silently simulating per point.
-                    raise ValueError(
-                        "trace replay cannot price this sweep group: "
-                        "machines vary in "
-                        f"{', '.join(nonuniform_fields(group))} "
-                        "(see repro.machine.replay.supports_axis for "
-                        "replayable axes); drop use_trace=True to "
-                        "simulate per point"
-                    )
-                continue  # un-replayable group: per-point fallback below
-            try:
-                for i in idxs:
-                    faults.maybe_fault("worker.point", index=indices[i])
-                # Warm path first: when the compiled-pass cache holds a
-                # digest-matching pass (or tier) for this key, the group
-                # prices without ever decoding the trace columns.
-                priced = replay_sweep_cached(key, group)
-                if priced is not None:
-                    labels = ["replayed"] * len(idxs)
-                elif (trace := tracecache.get(key)) is not None:
-                    priced = replay_sweep(trace, group)
-                    labels = ["replayed"] * len(idxs)
-                elif len(idxs) == 1:
-                    # Singleton (e.g. one VL point): record a reusable
-                    # trace and price from it.  Slightly dearer than a
-                    # direct simulation once, then every re-run — and
-                    # every other axis sharing the key — replays.
-                    trace, _ = tracecache.get_or_capture(
-                        net, group[0], policy, n_layers
-                    )
-                    priced = replay_sweep(trace, group)
-                    labels = ["captured"]
-                else:
-                    priced = capture_sweep(
-                        lambda sim: net._emit_trace(sim, policy, n_layers, True),
-                        group,
-                    )
-                    labels = ["captured"] + ["replayed"] * (len(idxs) - 1)
-            except Exception:
-                continue  # degrade the group to the per-point loop below
-            if priced is None:
-                continue  # non-uniform group: per-point fallback below
-            for j, i in enumerate(idxs):
-                stats[i] = priced[j]
-                sources[i] = labels[j]
-                if ckeys[i] is not None:
-                    simcache.store(ckeys[i], priced[j])
-                if on_point is not None:
-                    on_point(indices[i], priced[j], labels[j])
-
-    for i in pending:
+    for i in range(n):
         if stats[i] is None:
             gidx = indices[i]
 
@@ -324,8 +329,6 @@ def _simulate_group(
                     on_failure(failure)
                 budget.record(failure, exc)  # raises in fail-fast mode
                 continue
-            if ckeys[i] is not None:
-                simcache.store(ckeys[i], stats[i])
             if on_point is not None:
                 on_point(gidx, stats[i], sources[i])
     return stats, sources
@@ -355,7 +358,9 @@ def sweep(
     same order, with statistics identical to the serial path; if the
     inputs cannot be shipped to workers the sweep silently runs
     serially.  ``use_cache`` opts into the persistent result cache
-    (see :mod:`repro.core.simcache`).
+    (see :mod:`repro.core.simcache`): hits are resolved here, before
+    either engine runs, and each newly priced point is stored once as
+    it settles.
 
     ``use_trace`` controls the capture-once/replay-many engine
     (:mod:`repro.core.tracecache`): points whose kernel event stream is
@@ -363,7 +368,9 @@ def sweep(
     kernels once and are priced from the shared recorded trace, with
     bitwise-identical statistics.  ``None`` (the default) enables it
     for sweeps unless ``REPRO_TRACE`` says otherwise; each point's
-    provenance lands in ``SweepResult.sources``.
+    provenance lands in ``SweepResult.sources``.  Serial and parallel
+    runs follow one route plan (:func:`plan_groups`,
+    :func:`price_group`), so they report the same sources.
 
     Fault tolerance (:mod:`repro.core.resilience`): with ``resume=True``
     every completed point is checkpointed to a journal under
@@ -470,20 +477,41 @@ def sweep(
                     on_point(i, stats_list[i], sources[i])
             pending = sorted(i for _, i in ranked[:prune])
 
+        if pending and simcache.cache_enabled(use_cache):
+            # The persistent result cache answers first; every point
+            # priced below is stored once, as it settles.
+            ckeys = {
+                i: simcache.cache_key(net, machines[i], policy, n_layers, True)
+                for i in pending
+            }
+            for i in list(pending):
+                hit = simcache.load(ckeys[i])
+                if hit is not None:
+                    stats_list[i] = hit
+                    sources[i] = "cached"
+                    pending.remove(i)
+                    if on_point is not None:
+                        on_point(i, hit, "cached")
+
+            def on_point(i, stats, src, _chain=on_point):
+                simcache.store(ckeys[i], stats)
+                if _chain is not None:
+                    _chain(i, stats, src)
+
         if pending:
             sub_machines = [machines[i] for i in pending]
             out = None
             n_jobs = resolve_jobs(jobs)
             if n_jobs > 1:
                 out = simulate_points(
-                    net, sub_machines, policy, n_layers, n_jobs, use_cache,
-                    use_trace, indices=pending, retry=retry, budget=budget,
-                    on_point=on_point, on_failure=on_failure,
+                    net, sub_machines, policy, n_layers, n_jobs,
+                    use_trace=use_trace, indices=pending, retry=retry,
+                    budget=budget, on_point=on_point, on_failure=on_failure,
                     on_tick=heartbeat,
                 )
             if out is None:
                 out = _simulate_group(
-                    net, sub_machines, policy, n_layers, use_cache, use_trace,
+                    net, sub_machines, policy, n_layers, use_trace,
                     indices=pending, retry=retry, budget=budget,
                     on_point=on_point, on_failure=on_failure,
                 )
@@ -523,12 +551,15 @@ def sweep_vector_lengths(
     (e.g. ``lambda v: rvv_gem5(vlen_bits=v, lanes=8, l2_mb=1)``).
 
     A VL change alters the event stream itself (kernels tile on it),
-    so each point records **one capture per VL** — but that capture
-    then serves *every* pricing axis and figure at that VL, and its
-    compiled passes persist (``.rpp``/``.rvp``, see
+    so each point is a trace group of its own.  When traces spill
+    (``REPRO_TRACE_SPILL=1``) each point records **one capture per
+    VL**, which then serves *every* pricing axis and figure at that VL,
+    and its compiled passes persist (``.rpp``/``.rvp``, see
     docs/TRACE_REPLAY.md "Persistent compiled passes"): a warm re-run
     of this sweep replays every point from the compiled-pass cache
-    without decoding a single trace column.
+    without decoding a single trace column.  Without spill a capture
+    would not outlive the call, so a cold point is simulated directly
+    (:func:`price_group`).
     """
     if policy is None:
         policy = KernelPolicy()

@@ -7,19 +7,24 @@ pickled once and shipped to each worker via the pool initializer;
 per-chunk tasks then carry only (picklable, frozen) machine configs,
 the kernel policy, and an optional trace-registry key.
 
-Capture-once / replay-many across processes: the parent groups points
-by :func:`repro.core.tracecache.trace_key`, captures each distinct
-kernel event stream once, publishes it as a shared-memory segment
-(:func:`repro.core.tracecache.publish_shm`) and spills it to disk
-(compressed ``.rtz`` next to ``.simcache/``) so every worker — a
-separate process with its own in-memory registry — can attach/load it
-once and price its chunk of points with
-:func:`repro.machine.replay.replay_sweep` instead of re-running the
-kernels.  Workers prefer the shared-memory tier (one decode per worker
-lifetime, no disk traffic per task); those that cannot obtain the
-trace at all (shared memory and spill both unavailable, or a corrupt
-spill quarantined on load) silently fall back to direct per-point
-simulation.
+Routing is the serial engine's: the parent splits the points with
+:func:`repro.core.codesign.plan_groups`, and each worker prices its
+chunk of a trace group with :func:`repro.core.codesign.price_group`
+(or simulates a direct point), so a sweep reports the same sources
+whichever engine ran it.  The parent keeps three jobs of its own:
+
+* it captures each multi-point group that has no trace yet, once,
+  forcing the spill so the stream outlives it
+  (:func:`repro.core.tracecache.get_or_capture`);
+* it publishes every trace it holds as a shared-memory segment
+  (:func:`repro.core.tracecache.publish_shm`), so each worker — a
+  separate process with its own in-memory registry — attaches and
+  decodes it once instead of re-reading the spill per task;
+* it labels the first point of each group it captured ``captured``.
+
+A single-point group has no parent capture: its worker captures it
+when traces spill and simulates it directly otherwise, as the serial
+engine would.
 
 Supervision (see docs/RESILIENCE.md): instead of one blocking
 ``Pool.map``, the parent runs a small event loop over ``apply_async``
@@ -28,11 +33,10 @@ deterministic jitter; a multi-point chunk that fails is split into
 single-point tasks so one poison point cannot take its siblings down;
 a worker that dies (the pool replenishes its process automatically) or
 exceeds the per-point timeout gets its in-flight work resubmitted.
-Results are deterministic and journal/simcache writes are idempotent,
-so a duplicated task is harmless — first completion wins.  A point
-whose retry budget runs out becomes a structured
-:class:`~repro.core.resilience.PointFailure` charged against the
-sweep's failure budget.
+Results are deterministic, so a duplicated task is harmless — first
+completion wins.  A point whose retry budget runs out becomes a
+structured :class:`~repro.core.resilience.PointFailure` charged against
+the sweep's failure budget.
 
 Guarantees:
 
@@ -52,7 +56,7 @@ import multiprocessing
 import os
 import pickle
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..machine.config import MachineConfig
 from ..machine.simulator import SimStats
@@ -102,39 +106,24 @@ def _init_worker(payload: bytes) -> None:
 #: machine with ``tkey=None`` for the direct path), plus the global
 #: sweep index of every point (journaling and fault injection).
 _Chunk = Tuple[
-    List[MachineConfig], List[int], KernelPolicy, Optional[int], Optional[bool],
-    Optional[str],
+    List[MachineConfig], List[int], KernelPolicy, Optional[int], Optional[str],
 ]
 
 
 def _run_chunk(task: _Chunk) -> Tuple[List[SimStats], List[str]]:
-    machines, idxs, policy, n_layers, use_cache, tkey = task
+    machines, idxs, policy, n_layers, tkey = task
     for i in idxs:
         faults.maybe_fault("worker.point", index=i)
     if tkey is not None:
-        from . import simcache, tracecache
-        from ..machine.replay import replay_sweep, replay_sweep_cached
+        from .codesign import price_group
 
-        # Compiled-pass warm path first: a digest-matching .rpp (shared
-        # by the parent via shm, or on disk from a previous sweep)
-        # prices the chunk without attaching or decoding the trace.
-        priced = replay_sweep_cached(tkey, machines)
-        if priced is None:
-            trace = tracecache.get(tkey, spill=True)
-            if trace is not None:
-                priced = replay_sweep(trace, machines)
-        if priced is not None:
-            if simcache.cache_enabled(use_cache):
-                for machine, stats in zip(machines, priced):
-                    simcache.store(
-                        simcache.cache_key(
-                            _worker_net, machine, policy, n_layers, True
-                        ),
-                        stats,
-                    )
-            return priced, ["replayed"] * len(machines)
+        out = price_group(_worker_net, tkey, machines, policy, n_layers)
+        if out is not None:
+            return out
     out = [
-        _worker_net.simulate(m, policy, n_layers=n_layers, use_cache=use_cache)
+        _worker_net.simulate(
+            m, policy, n_layers=n_layers, use_cache=False, use_trace=False
+        )
         for m in machines
     ]
     return out, ["direct"] * len(machines)
@@ -238,9 +227,9 @@ def _supervise(
             # tasks (keeping the trace key — the survivors still price
             # by replay, bitwise-identical to the direct path).
             work.done = True
-            machines, idxs, policy, n_layers, use_cache, tkey = work.task
+            machines, idxs, policy, n_layers, tkey = work.task
             for m, i in zip(machines, idxs):
-                split = _Work(([m], [i], policy, n_layers, use_cache, tkey))
+                split = _Work(([m], [i], policy, n_layers, tkey))
                 split.attempts = work.attempts
                 split.next_at = now + retry.delay(max(1, work.attempts), f"pt{i}")
                 queue.append(split)
@@ -334,10 +323,11 @@ def simulate_points(
     Returns ``(stats, sources)`` in input order, or ``None`` when
     parallel execution is not possible (single job, single point, or
     unpicklable inputs) — the caller then falls back to the serial
-    loop.  With tracing enabled (the default for sweeps), each distinct
-    kernel event stream is captured once in the parent, spilled to
-    disk, and replayed by the workers; a point's entry in ``sources``
-    says which path priced it.
+    loop.  Points follow the serial engine's route plan (see the module
+    docstring); a point's entry in ``sources`` says which route priced
+    it.  *use_cache* is accepted for compatibility and ignored: the
+    persistent result cache is resolved by
+    :func:`repro.core.codesign.sweep` before it dispatches here.
 
     Fault tolerance: *retry* configures per-task supervision (bounded
     retries with backoff, per-point timeout, dead-worker recovery —
@@ -359,81 +349,41 @@ def simulate_points(
         return None  # graceful serial fallback, before any capture
 
     from . import tracecache
+    from .codesign import plan_groups
+    from ..machine.replay import _shared_pass_sig, _sig_token
 
     machines = list(machines)
     indices = list(indices) if indices is not None else list(range(len(machines)))
     retry = retry if retry is not None else RetryPolicy.from_env()
     budget = budget if budget is not None else FailureBudget(retry.max_failures)
-    # key -> positions (into machines) sharing one kernel event stream;
-    # None = trace off.
-    trace_groups: Dict[Optional[str], List[int]] = {}
-    captured_pos = None
-    if tracecache.trace_enabled(use_trace, default=True):
-        from ..machine.replay import group_mode
-
-        for pos, machine in enumerate(machines):
-            key = tracecache.trace_key(net, machine, policy, n_layers, True)
-            trace_groups.setdefault(key, []).append(pos)
-        for key, poss in list(trace_groups.items()):
-            group = [machines[p] for p in poss]
-            if len(poss) > 1 and group_mode(group) is None:
-                # Replay cannot price the group; run its points direct.
-                for p in poss:
-                    trace_groups.setdefault(None, []).append(p)
-                del trace_groups[key]
-                continue
-            if tracecache.get(key, spill=True) is None:
-                if len(poss) < 2:
-                    # A singleton with no existing capture: one direct
-                    # simulation is cheaper than capture + replay.
-                    trace_groups.setdefault(None, []).append(poss[0])
-                    del trace_groups[key]
-                    continue
-                # Capture once here; forced spill hands the stream to
-                # the worker processes.  record_trace may be slower
-                # than one direct simulation only for tiny nets, where
-                # the whole sweep is cheap anyway.
-                trace = net.record_trace(
-                    machines[poss[0]], policy, n_layers=n_layers, key=key
-                )
-                tracecache.put(key, trace, spill=True)
-                if captured_pos is None:
-                    captured_pos = poss[0]
-            # Shared-memory fast path: workers attach and decode once
-            # per worker lifetime instead of re-reading the spill per
-            # task.  Best-effort; released after the pool is done.
-            tracecache.publish_shm(key)
-            if tracecache.spill_enabled():
-                # Likewise for a previously compiled shared pass: a
-                # warm .rpp in shm lets every worker skip the event
-                # walk (replay_sweep_cached) without touching disk.
-                from ..machine.replay import _shared_pass_sig, _sig_token
-
-                tracecache.publish_pass_shm(
-                    key, _sig_token(_shared_pass_sig(group[0], True))
-                )
-    else:
-        trace_groups[None] = list(range(len(machines)))
-
+    groups, direct = plan_groups(net, machines, policy, n_layers, use_trace)
+    captured = set()  # global index of each parent capture's first point
     tasks: List[_Chunk] = []
-    task_pos: List[List[int]] = []
-    for key, poss in trace_groups.items():
-        if key is None:
-            for p in poss:  # direct points parallelize individually
-                tasks.append(
-                    ([machines[p]], [indices[p]], policy, n_layers, use_cache, None)
-                )
-                task_pos.append([p])
-        else:
-            for chunk in _chunk_indices(poss, jobs):
-                tasks.append(
-                    (
-                        [machines[p] for p in chunk],
-                        [indices[p] for p in chunk],
-                        policy, n_layers, use_cache, key,
-                    )
-                )
-                task_pos.append(chunk)
+    for key, poss in groups.items():
+        if len(poss) > 1:
+            _, held = tracecache.get_or_capture(
+                net, machines[poss[0]], policy, n_layers, spill=True
+            )
+            if not held:
+                captured.add(indices[poss[0]])
+        # Shared-memory fast path: workers attach and decode once per
+        # worker lifetime instead of re-reading the spill per task.
+        # Best-effort; released after the pool is done.
+        tracecache.publish_shm(key)
+        if tracecache.spill_enabled():
+            # Likewise for a previously compiled shared pass: a warm
+            # .rpp in shm lets every worker skip the event walk
+            # (replay_sweep_cached) without touching disk.
+            tracecache.publish_pass_shm(
+                key, _sig_token(_shared_pass_sig(machines[poss[0]], True))
+            )
+        for chunk in _chunk_indices(poss, jobs):
+            tasks.append((
+                [machines[p] for p in chunk], [indices[p] for p in chunk],
+                policy, n_layers, key,
+            ))
+    for p in direct:  # direct points parallelize individually
+        tasks.append(([machines[p]], [indices[p]], policy, n_layers, None))
 
     try:
         pickle.dumps(tasks, protocol=pickle.HIGHEST_PROTOCOL)
@@ -450,6 +400,8 @@ def simulate_points(
             p = pos_of[g]
             if stats[p] is not None and not isinstance(stats[p], PointFailure):
                 continue  # duplicate completion: first one won
+            if g in captured and src == "replayed":
+                src = "captured"
             stats[p] = s
             sources[p] = src
             if on_point is not None:
@@ -473,6 +425,4 @@ def simulate_points(
         return None
     finally:
         tracecache.release_shm()
-    if captured_pos is not None and sources[captured_pos] == "replayed":
-        sources[captured_pos] = "captured"
     return stats, sources

@@ -293,13 +293,10 @@ def uniform_group(machines: Sequence[MachineConfig]) -> bool:
     return group_mode(machines) == "l2"
 
 
-_uniform_group = uniform_group  # private alias kept for callers/tests
-
-
 #: Sweep axes the replay engines can price.  L2/DRAM axes and VPU
 #: pricing axes replay in a shared-pass group; ``vlen`` changes the
-#: event stream itself, so each VL records its own trace — but every
-#: such single-point group still replays from its (cached) capture.
+#: event stream itself, so each VL is a single-point group that
+#: replays from its own capture once one is held.
 _REPLAY_AXES = frozenset(
     {
         "l2_mb",
@@ -323,10 +320,12 @@ def supports_axis(name: str) -> bool:
 
     Capability query for sweep drivers: a supported axis either forms a
     replayable group (:func:`group_mode` returns non-``None``) or, for
-    ``vlen``, splits into per-point captures that each replay — one
-    capture per VL serving every pricing axis at that VL, with warm
-    runs served from the persistent compiled-pass cache
-    (:func:`replay_sweep_cached`).  An unsupported axis (e.g.
+    ``vlen``, splits into single-point groups that each replay from
+    their own capture once one is held — one capture per VL serving
+    every pricing axis at that VL, with warm runs served from the
+    persistent compiled-pass cache (:func:`replay_sweep_cached`).
+    When a cold VL point captures is the sweep driver's decision
+    (:func:`repro.core.codesign.price_group`).  An unsupported axis (e.g.
     ``l1_size``, ``mem_port``) changes the recorded walk itself and
     must simulate per point.
     """

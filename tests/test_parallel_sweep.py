@@ -2,12 +2,15 @@
 
 import multiprocessing
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.core import (
     resolve_jobs,
     simulate_points,
+    sweep,
+    sweep_cache_sizes,
     sweep_lanes,
     sweep_vector_lengths,
     tracecache,
@@ -123,9 +126,11 @@ class TestParallelReplay:
     def test_vl_sweep_parallel_replays_when_seeded(
         self, monkeypatch, tmp_path, spill
     ):
-        """VL points are singleton trace groups; once a serial sweep has
-        seeded their captures, a parallel sweep replays every point in
-        the workers instead of simulating."""
+        """VL points are singleton trace groups; once the parent holds
+        their captures, a parallel sweep replays every point in the
+        workers instead of simulating.  With spill on a serial sweep
+        seeds them; with spill off a serial sweep prices them directly,
+        so the registry is seeded by hand."""
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_TRACE_SPILL", spill)
         tracecache.clear_registry()
@@ -135,8 +140,13 @@ class TestParallelReplay:
         def factory(v):
             return rvv_gem5(vlen_bits=v, lanes=4, l2_mb=1)
 
-        serial = sweep_vector_lengths(net, vlens, factory, jobs=1)
-        assert serial.sources == ["captured"] * 3
+        if spill == "1":
+            serial = sweep_vector_lengths(net, vlens, factory, jobs=1)
+            assert serial.sources == ["captured"] * 3
+        else:
+            for v in vlens:
+                tracecache.get_or_capture(net, factory(v), KernelPolicy(), None)
+            serial = sweep_vector_lengths(net, vlens, factory, use_trace=False)
         parallel = sweep_vector_lengths(net, vlens, factory, jobs=2)
         assert parallel.sources == ["replayed"] * 3
         for a, b in zip(serial.stats, parallel.stats):
@@ -187,6 +197,115 @@ class TestParallelReplay:
         seen = [(pid, key) for pid, _, key in trace_loads]
         assert len(seen) == len(set(seen))
         tracecache.clear_registry()
+
+
+@pytest.fixture()
+def fresh_state(tmp_path, monkeypatch):
+    """Empty trace registry and pass memo, private cache directories."""
+    from repro.machine import replay
+
+    def reset():
+        tracecache.clear_registry()
+        replay._SHARED_PASS_MEMO.clear()
+
+    monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
+    monkeypatch.setenv("REPRO_SIMCACHE_DIR", str(tmp_path / "sc"))
+    for knob in ("REPRO_TRACE_SPILL", "REPRO_TRACE", "REPRO_SIMCACHE"):
+        monkeypatch.delenv(knob, raising=False)
+    reset()
+    yield reset
+    reset()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+class TestRouteParity:
+    """The serial and the parallel engine follow one route plan, so a
+    sweep reports the same sources whichever engine priced it."""
+
+    def test_simcache_rerun_is_cached(self, fresh_state, jobs):
+        net = small_net()
+
+        def factory(mb):
+            return rvv_gem5(vlen_bits=512, lanes=4, l2_mb=mb)
+
+        first = sweep_cache_sizes(net, [1, 2, 4], factory, jobs=jobs,
+                                  use_cache=True)
+        fresh_state()
+        again = sweep_cache_sizes(net, [1, 2, 4], factory, jobs=jobs,
+                                  use_cache=True)
+        assert first.sources == ["captured", "replayed", "replayed"]
+        assert again.sources == ["cached"] * 3
+        for a, b in zip(first.stats, again.stats):
+            assert_identical(a, b)
+
+    def test_each_multi_point_group_captures_once(self, fresh_state, jobs):
+        net = small_net()
+        grid = [(512, 1), (512, 4), (1024, 1), (1024, 4)]
+
+        def factory(point):
+            vlen, mb = point
+            return rvv_gem5(vlen_bits=vlen, lanes=4, l2_mb=mb)
+
+        res = sweep(net, "vlen_l2", grid, factory, jobs=jobs)
+        direct = sweep(net, "vlen_l2", grid, factory, use_trace=False)
+        assert res.sources == ["captured", "replayed"] * 2
+        for a, b in zip(res.stats, direct.stats):
+            assert_identical(a, b)
+
+    def test_parallel_forced_spill_is_reused(self, fresh_state, jobs):
+        """A pool parent spills its captures even with spill off; both
+        engines find such a spill the same way, so a later sweep of the
+        stream replays it."""
+        net = small_net()
+
+        def factory(mb):
+            return rvv_gem5(vlen_bits=512, lanes=4, l2_mb=mb)
+
+        seeded = sweep_cache_sizes(net, [1, 2, 4], factory, jobs=2)
+        assert seeded.sources == ["captured", "replayed", "replayed"]
+        fresh_state()
+        again = sweep_cache_sizes(net, [1, 2, 4], factory, jobs=jobs)
+        assert again.sources == ["replayed"] * 3
+        for a, b in zip(seeded.stats, again.stats):
+            assert_identical(a, b)
+
+    def test_forced_trace_on_unreplayable_group_raises(
+        self, fresh_state, jobs
+    ):
+        net = small_net()
+        m0 = rvv_gem5(vlen_bits=512, lanes=4, l2_mb=1)
+        group = [m0, m0.with_(vpu=replace(m0.vpu, mem_port="L1"))]
+        with pytest.raises(ValueError, match="cannot price"):
+            sweep(net, "port", [0, 1], group.__getitem__, jobs=jobs,
+                  use_trace=True)
+        auto = sweep(net, "port", [0, 1], group.__getitem__, jobs=jobs)
+        assert auto.sources == ["direct", "direct"]
+
+    @pytest.mark.parametrize("spill", ["0", "1"])
+    def test_cold_vl_points(self, fresh_state, monkeypatch, jobs, spill):
+        """A VL point is a singleton group: it captures only when the
+        capture outlives the call (spill on); otherwise it is cheaper to
+        simulate it directly."""
+        monkeypatch.setenv("REPRO_TRACE_SPILL", spill)
+        net = small_net()
+        vlens = [512, 1024, 2048]
+
+        def factory(v):
+            return rvv_gem5(vlen_bits=v, lanes=4, l2_mb=1)
+
+        cold = sweep_vector_lengths(net, vlens, factory, jobs=jobs)
+        direct = sweep_vector_lengths(net, vlens, factory, use_trace=False)
+        for a, b in zip(cold.stats, direct.stats):
+            assert_identical(a, b)
+        if spill == "0":
+            assert cold.sources == ["direct"] * 3
+            return
+        assert cold.sources == ["captured"] * 3
+        fresh_state()
+        warm = sweep_vector_lengths(net, vlens, factory, jobs=jobs)
+        assert warm.sources == ["replayed"] * 3
+        for a, b in zip(warm.stats, direct.stats):
+            assert_identical(a, b)
 
 
 class TestFallbacks:

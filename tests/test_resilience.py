@@ -542,6 +542,22 @@ class TestSweepCli:
         assert "pending: 2/2" in out
         assert "estimated kernel runs: 1" in out  # one shared trace group
 
+    @pytest.mark.parametrize("axis,values,groups,runs", [
+        ("cache", ["1", "2", "4"], 1, 1),  # one shared trace group
+        ("vlen", ["512", "1024", "2048"], 0, 3),  # a singleton per VL
+    ])
+    def test_dry_run_plans_like_the_sweep(
+        self, cache_env, capsys, axis, values, groups, runs
+    ):
+        assert cli_main([
+            "sweep", "--net", "yolov3-tiny", "--layers", "2", "--axis", axis,
+            "--values", *values, "--dry-run", "--json",
+        ]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary["pending"] == 3
+        assert summary["trace_groups"] == groups
+        assert summary["estimated_kernel_runs"] == runs
+
     def test_dry_run_json_counts_journal_and_cache(self, cache_env, capsys):
         assert cli_main([*self.ARGS, "--resume"]) == 0
         capsys.readouterr()

@@ -36,7 +36,6 @@ from repro.machine.replay import (
     uniform_group,
 )
 from repro.machine.simulator import SimStats, TraceSimulator
-from repro.machine.trace import RecordedTrace
 from repro.nets import ConvLayer, KernelPolicy, MaxPoolLayer, Network
 from repro.nets.zoo import yolov3_tiny
 
@@ -201,17 +200,6 @@ class TestBitwiseIdentity:
         )
         with pytest.raises(ValueError):
             replay(trace, rvv_gem5(vlen_bits=2048, lanes=4))
-
-    def test_save_load_roundtrip(self, tmp_path):
-        net = yolov3_tiny()
-        m = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=1)
-        trace = net.record_trace(m, KernelPolicy(), n_layers=2, key="k123")
-        path = str(tmp_path / "t.npz")
-        trace.save(path)
-        loaded = RecordedTrace.load(path)
-        assert loaded.key == "k123"
-        assert loaded.n_events == trace.n_events
-        assert_bitwise(replay(trace, m), replay(loaded, m))
 
 
 def spy_walks(monkeypatch):
@@ -439,12 +427,17 @@ class TestSweepIntegration:
         for a, b in zip(on.stats, off.stats):
             assert_bitwise(a, b)
 
-    def test_vl_sweep_replays_from_seeded_registry(self):
-        """Each VL point is a singleton trace group: the first sweep
-        captures (and prices by replay); a second sweep along the same
-        axis replays every point without re-running kernels."""
+    def test_vl_sweep_replays_from_seeded_registry(self, tmp_path, monkeypatch):
+        """Each VL point is a singleton trace group.  With spill off a
+        capture would not outlive the call, so every point is simulated
+        directly.  With spill on, the first sweep captures (and prices
+        by replay) and a second sweep along the same axis replays every
+        point without re-running kernels."""
         from repro.core import sweep_vector_lengths
 
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_SIMCACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_TRACE_SPILL", "0")
         tracecache.clear_registry()
         net = small_net()
         vlens = [512, 1024, 2048]
@@ -452,13 +445,19 @@ class TestSweepIntegration:
         def factory(v):
             return rvv_gem5(vlen_bits=v, lanes=4, l2_mb=1)
 
+        unspilled = sweep_vector_lengths(net, vlens, factory)
+        monkeypatch.setenv("REPRO_TRACE_SPILL", "1")
         first = sweep_vector_lengths(net, vlens, factory)
         second = sweep_vector_lengths(net, vlens, factory)
         off = sweep_vector_lengths(net, vlens, factory, use_trace=False)
+        assert unspilled.sources == ["direct"] * 3
         assert first.sources == ["captured"] * 3
         assert second.sources == ["replayed"] * 3
         assert off.sources == ["direct"] * 3
-        for a, b, c in zip(first.stats, second.stats, off.stats):
+        for u, a, b, c in zip(
+            unspilled.stats, first.stats, second.stats, off.stats
+        ):
+            assert_bitwise(u, c)
             assert_bitwise(a, c)
             assert_bitwise(b, c)
         tracecache.clear_registry()
