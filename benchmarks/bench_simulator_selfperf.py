@@ -296,63 +296,74 @@ def test_lane_sweep_trace_replay(benchmark, yolo_net):
 
 
 def test_point_pass_pipeline(benchmark, yolo_net):
-    """Stage split of the point pass on one lane group.
+    """Stage split of the point pass.
 
-    A tier miss in ``_run_points`` runs four stages: the program
-    skeleton (``_skeleton``), the L2 walk (``_walk``, conflict-free at
-    256 MB), interning into pricing classes (``_intern``) and column
-    pricing (``_point_pass_vec``, once per point).  Each is timed on
-    the captured program of a 3-point lane group, and every point must
-    be bitwise identical to direct simulation.
+    A tier miss in ``_run_points`` runs: the program skeleton
+    (``_skeleton``) and the reuse columns (``_reuse``), once per group;
+    the L2 walk (``_lru_walk``), once per tier; interning into pricing
+    classes (``_intern``); and column pricing (``_point_pass_vec``), once
+    per point.  The walk is timed on an overcommitted 1 MB L2 and on a
+    conflict-free 256 MB L2, whose walk then prices a 3-point lane
+    group.  Every point must be bitwise identical to direct simulation.
     """
-    import numpy as np
-
     from repro.machine.replay import (
+        _conflict_free,
         _GroupCapture,
         _intern,
+        _lru_walk,
         _point_pass_vec,
+        _reuse,
         _skeleton,
-        _walk,
-        _walk_mode,
     )
 
     n_layers = int(os.environ.get("REPRO_BENCH_SWEEP_LAYERS", "20") or "20")
     policy = KernelPolicy(gemm="3loop")
-    machines = [rvv_gem5(vlen_bits=2048, lanes=l, l2_mb=256) for l in (2, 4, 8)]
+    lane_group = [
+        rvv_gem5(vlen_bits=2048, lanes=l, l2_mb=256) for l in (2, 4, 8)
+    ]
+    small = rvv_gem5(vlen_bits=2048, lanes=8, l2_mb=1)
 
     def run():
-        cap = _GroupCapture(machines[0], defer_vpu=True)
+        cap = _GroupCapture(lane_group[0], defer_vpu=True)
         yolo_net._emit_trace(cap, policy, n_layers, True)
         prog, inv, gcfg = cap.finish()
-        lines = np.fromiter(gcfg["distinct"], dtype=np.int64)
-        hot = _walk_mode(gcfg, lines, machines[0])
         gc.disable()
         try:
             t0 = time.perf_counter()
             skel = _skeleton(prog)
             t_skel = time.perf_counter() - t0
             t0 = time.perf_counter()
-            nh, nm = _walk(skel, gcfg, machines[0], hot)
-            t_walk = time.perf_counter() - t0
+            ru = _reuse(gcfg)
+            t_reuse = time.perf_counter() - t0
+            assert not _conflict_free(ru, small)
+            assert _conflict_free(ru, lane_group[0])
             t0 = time.perf_counter()
-            cols = _intern(skel, nh, nm)
+            walk_small = _lru_walk(skel, gcfg, small, False)
+            t_walk_small = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            walk_large = _lru_walk(skel, gcfg, lane_group[0], True)
+            t_walk_large = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            cols = _intern(skel, *walk_large)
             t_intern = time.perf_counter() - t0
             t0 = time.perf_counter()
-            stats = [_point_pass_vec(cols, inv, m, gcfg) for m in machines]
+            stats = [_point_pass_vec(cols, inv, m, gcfg) for m in lane_group]
             t_price = time.perf_counter() - t0
+            stats.append(
+                _point_pass_vec(_intern(skel, *walk_small), inv, small, gcfg)
+            )
         finally:
             gc.enable()
             gc.collect()
-        mode = "exact" if hot is None else ("hybrid" if hot else "free")
-        return stats, len(prog), mode, t_skel, t_walk, t_intern, t_price
+        return (stats, len(prog), len(gcfg["lines"]), t_skel, t_reuse,
+                t_walk_small, t_walk_large, t_intern, t_price)
 
-    stats, n_items, mode, t_skel, t_walk, t_intern, t_price = run_once(
-        benchmark, run
-    )
+    (stats, n_items, n_lines, t_skel, t_reuse, t_walk_small, t_walk_large,
+     t_intern, t_price) = run_once(benchmark, run)
     direct = [
         yolo_net.simulate(m, policy, n_layers=n_layers, use_cache=False,
                           use_trace=False)
-        for m in machines
+        for m in lane_group + [small]
     ]
 
     def hex_identical(a, b):
@@ -367,19 +378,25 @@ def test_point_pass_pipeline(benchmark, yolo_net):
         "bench": "point_pass_pipeline",
         "n_layers": n_layers,
         "program_items": n_items,
-        "walk_mode": mode,
-        "points_priced": len(machines),
+        "pending_lines": n_lines,
+        "points_priced": len(stats),
         "skeleton_s": round(t_skel, 4),
-        "walk_s": round(t_walk, 4),
+        "reuse_s": round(t_reuse, 4),
+        "walk_ms_per_point": {
+            "1MB": round(1e3 * t_walk_small, 2),
+            "256MB": round(1e3 * t_walk_large, 2),
+        },
         "intern_s": round(t_intern, 4),
         "price_s": round(t_price, 4),
         "bitwise_identical": identical,
     }
-    banner(f"Point-pass pipeline (yolov3, {n_layers} layers, 3 lane points)")
+    banner(f"Point-pass pipeline (yolov3, {n_layers} layers, 4 points)")
     print(f"skeleton (once)         : {t_skel:.3f}s")
-    print(f"walk ({mode}, once)     : {t_walk:.3f}s")
+    print(f"reuse columns (once)    : {t_reuse:.3f}s")
+    print(f"walk 1 MB (overcommitted): {1e3 * t_walk_small:.1f} ms")
+    print(f"walk 256 MB (conflict-free): {1e3 * t_walk_large:.1f} ms")
     print(f"intern (once)           : {t_intern:.3f}s")
-    print(f"price (3 points)        : {t_price:.3f}s")
+    print(f"price (3 lane points)   : {t_price:.3f}s")
     print("BENCH " + json.dumps(row, sort_keys=True))
     benchmark.extra_info.update(row)
 

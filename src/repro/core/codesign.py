@@ -10,6 +10,7 @@ and the ``sweep_*`` helpers reproduce the paper's parameter axes
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -37,11 +38,33 @@ __all__ = [
     "run_design_point",
     "plan_groups",
     "price_group",
+    "ReplayFallbackWarning",
     "sweep",
     "sweep_vector_lengths",
     "sweep_cache_sizes",
     "sweep_lanes",
 ]
+
+
+class ReplayFallbackWarning(RuntimeWarning):
+    """A trace group's replay raised, so its points were simulated
+    directly: the numbers stay right, but a replay bug now costs the
+    slow path.  Carries the exception's type name (``exc_type``) and
+    message (``error``).  The tier-1 suite turns it into an error.
+
+    The message starts with ``replay fallback:``, so a process can make
+    it fatal before ``repro`` is importable (the interpreter resolves
+    ``-W``/``PYTHONWARNINGS`` categories before ``site-packages`` is on
+    the path): ``PYTHONWARNINGS="error:replay fallback:RuntimeWarning"``.
+    """
+
+    def __init__(self, key: str, exc: BaseException):
+        self.exc_type = type(exc).__name__
+        self.error = str(exc)
+        super().__init__(
+            f"replay fallback: trace group {key[:16]} priced directly "
+            f"after {self.exc_type}: {self.error}"
+        )
 
 
 @dataclass(frozen=True)
@@ -270,7 +293,8 @@ def _simulate_group(
     identical to per-point simulation regardless of the path taken.
 
     Supervision (see :mod:`repro.core.resilience`): a failing shared
-    pricing pass degrades its whole group to the per-point loop; a
+    pricing pass degrades its whole group to the per-point loop, with a
+    :class:`ReplayFallbackWarning` naming the exception; a
     failing point retries per *retry* and finally degrades to a
     :class:`PointFailure` charged against *budget*.  *on_point* /
     *on_failure* fire as each point settles — the journaling hook for
@@ -290,8 +314,10 @@ def _simulate_group(
             out = price_group(
                 net, key, [machines[i] for i in idxs], policy, n_layers
             )
-        except Exception:
-            continue  # degrade the group to the per-point loop below
+        except Exception as exc:
+            # Degrade the group to the per-point loop below, loudly.
+            warnings.warn(ReplayFallbackWarning(key, exc), stacklevel=2)
+            continue
         if out is None:
             continue  # priced directly below
         for i, st, label in zip(idxs, *out):

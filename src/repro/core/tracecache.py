@@ -44,6 +44,7 @@ import hashlib
 import json
 import os
 import zlib
+from array import array
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -121,12 +122,13 @@ _MAGIC = b"RTRC"
 #: outlive a re-captured trace.
 PASS_SUFFIX = ".rpp"
 VECPROG_SUFFIX = ".rvp"
-#: Version 2: deferred-VPU pricing-class ids follow the per-event
-#: shared pass.  Version-1 files came from a deleted engine that
-#: numbered the same classes in another order, so an ``.rvp`` tier of
-#: theirs must never be priced against a version-2 program: they read
-#: as stale (quarantined, re-derived).
-PASS_FORMAT_VERSION = 2
+#: Version 3: tag-3/4 items carry a pending-line count, and the lines
+#: of the whole program travel as one L1-line column (``lines``); the
+#: first-touch columns and the distinct-line set of version 2 are gone.
+#: (Version 2 numbered deferred-VPU pricing classes in per-event
+#: shared-pass order; version 1 came from a deleted engine.)  Files of
+#: an older version read as stale: quarantined, re-derived.
+PASS_FORMAT_VERSION = 3
 _PASS_MAGIC = b"RPSS"
 _VECPROG_MAGIC = b"RVPC"
 
@@ -500,9 +502,9 @@ def read_header(path: str) -> dict:
 
 #: Wire layout of a serialized shared-pass program.  One row per prog
 #: item in ``kinds``; per-tag operand columns hold only that tag's
-#: items, in stream order.  Ragged tuple operands (pending-line and
-#: first-touch addresses) split into a count column plus a flattened
-#: delta-coded address column.
+#: items, in stream order.  The pending lines of tag-3/4 items are the
+#: program's ``gc["lines"]`` column; tag-5 fill lines split into a count
+#: column plus a flattened delta-coded line column.
 _PASS_COLUMNS = (
     ("kinds", "raw", "<u1"),
     ("f0", "raw", "<f8"),
@@ -517,25 +519,17 @@ _PASS_COLUMNS = (
     ("t3_write", "raw", "<u1"),
     ("t3_unit", "raw", "<u1"),
     ("t3_iid", "delta", "<i8"),
-    ("t3_nh0", "delta", "<i8"),
     ("t3_na", "varint", "<i8"),
-    ("t3_addrs", "delta", "<i8"),
-    ("t3_nft", "varint", "<i8"),
-    ("t3_ft", "delta", "<i8"),
     ("t4_w", "raw", "<f8"),
     ("t4_lat", "delta", "<i8"),
     ("t4_occ", "raw", "<f8"),
     ("t4_write", "raw", "<u1"),
-    ("t4_nh0", "delta", "<i8"),
     ("t4_na", "varint", "<i8"),
-    ("t4_addrs", "delta", "<i8"),
-    ("t4_nft", "varint", "<i8"),
-    ("t4_ft", "delta", "<i8"),
     ("t5_n", "varint", "<i8"),
     ("t5_lines", "delta", "<i8"),
     ("t6_w", "raw", "<f8"),
     ("t6_cid", "varint", "<i8"),
-    ("gc_distinct", "delta", "<i8"),
+    ("lines", "delta", "<i8"),
 )
 
 _VECPROG_COLUMNS = (
@@ -696,7 +690,9 @@ def encode_pass(
     Exact by construction: floats travel as f8 (bit-preserving), ints
     as int64 columns that refuse non-integral values, bools as u1.
     ``gc["vpu"]`` is *not* stored — no point engine reads it, and the
-    loader rebinds the requesting machine's VPU.  Raises
+    loader rebinds the requesting machine's VPU; nor are the memoized
+    per-group columns (``skeleton``, ``reuse``) the point pipeline
+    adds — they are rebuilt on demand.  Raises
     :class:`ValueError` on any operand the layout cannot carry exactly
     (callers treat that as "don't cache").
     """
@@ -715,20 +711,12 @@ def encode_pass(
     t3_write: List[bool] = []
     t3_unit: List[bool] = []
     t3_iid: List[int] = []
-    t3_nh0: List[int] = []
     t3_na: List[int] = []
-    t3_addrs: List[int] = []
-    t3_nft: List[int] = []
-    t3_ft: List[int] = []
     t4_w: List[float] = []
     t4_lat: List[int] = []
     t4_occ: List[float] = []
     t4_write: List[bool] = []
-    t4_nh0: List[int] = []
     t4_na: List[int] = []
-    t4_addrs: List[int] = []
-    t4_nft: List[int] = []
-    t4_ft: List[int] = []
     t5_n: List[int] = []
     t5_lines: List[int] = []
     t6_w: List[float] = []
@@ -741,8 +729,7 @@ def encode_pass(
         tag = it[0]
         kinds.append(tag)
         if tag == 3:
-            (_, w, addrs, lat, occ1, nbytes, n_lines, write, unit, iid,
-             nh0, ft) = it
+            _, w, na, lat, occ1, nbytes, n_lines, write, unit, iid = it
             t3_w.append(w)
             t3_lat.append(lat)
             t3_occ.append(occ1)
@@ -751,22 +738,14 @@ def encode_pass(
             t3_write.append(write)
             t3_unit.append(unit)
             t3_iid.append(iid)
-            t3_nh0.append(nh0)
-            t3_na.append(len(addrs))
-            t3_addrs.extend(addrs)
-            t3_nft.append(len(ft))
-            t3_ft.extend(ft)
+            t3_na.append(na)
         elif tag == 4:
-            _, w, addrs, lat, occ1, write, nh0, ft = it
+            _, w, na, lat, occ1, write = it
             t4_w.append(w)
             t4_lat.append(lat)
             t4_occ.append(occ1)
             t4_write.append(write)
-            t4_nh0.append(nh0)
-            t4_na.append(len(addrs))
-            t4_addrs.extend(addrs)
-            t4_nft.append(len(ft))
-            t4_ft.extend(ft)
+            t4_na.append(na)
         elif tag == 6:
             t6_w.append(it[1])
             t6_cid.append(it[2])
@@ -785,7 +764,9 @@ def encode_pass(
             t5_lines.extend(it[1])
         else:
             raise ValueError(f"unknown prog item tag {tag!r}")
-    distinct = gc["distinct"]
+    lines = np.frombuffer(gc["lines"], dtype=np.intc)
+    if sum(t3_na) + sum(t4_na) != len(lines):
+        raise ValueError("pending-line counts disagree with gc['lines']")
     cols = {
         "kinds": np.asarray(kinds, np.uint8),
         "f0": np.asarray(f0, np.float64),
@@ -800,25 +781,17 @@ def encode_pass(
         "t3_write": np.asarray(t3_write, np.uint8),
         "t3_unit": np.asarray(t3_unit, np.uint8),
         "t3_iid": _int_col(t3_iid),
-        "t3_nh0": _int_col(t3_nh0),
         "t3_na": _int_col(t3_na),
-        "t3_addrs": _int_col(t3_addrs),
-        "t3_nft": _int_col(t3_nft),
-        "t3_ft": _int_col(t3_ft),
         "t4_w": np.asarray(t4_w, np.float64),
         "t4_lat": _int_col(t4_lat),
         "t4_occ": np.asarray(t4_occ, np.float64),
         "t4_write": np.asarray(t4_write, np.uint8),
-        "t4_nh0": _int_col(t4_nh0),
         "t4_na": _int_col(t4_na),
-        "t4_addrs": _int_col(t4_addrs),
-        "t4_nft": _int_col(t4_nft),
-        "t4_ft": _int_col(t4_ft),
         "t5_n": _int_col(t5_n),
         "t5_lines": _int_col(t5_lines),
         "t6_w": np.asarray(t6_w, np.float64),
         "t6_cid": _int_col(t6_cid),
-        "gc_distinct": _int_col(sorted(distinct)),
+        "lines": lines.astype(np.int64),
     }
     header = {
         "kind": "pass",
@@ -834,6 +807,7 @@ def encode_pass(
             "l1_lat": gc["l1_lat"],
             "ooo_hide": gc["ooo_hide"],
             "scalar_cpi": gc["scalar_cpi"],
+            "l1_shift": gc["l1_shift"],
             "l2_shift": gc["l2_shift"],
             "max_range_total": gc["max_range_total"],
             "has_fills": gc["has_fills"],
@@ -875,31 +849,36 @@ def decode_pass(blob: bytes) -> Tuple[dict, list, Dict[str, float], dict]:
                             cols["t2_nbytes"].tolist())
         ]
         out[kinds == 2] = np.fromiter(items, object, count=len(items))
+    if int(cols["t3_na"].sum()) + int(cols["t4_na"].sum()) != len(
+        cols["lines"]
+    ):
+        raise ValueError("pass container: pending-line count mismatch")
+    pending = cols["lines"]
+    if len(pending) and (
+        int(pending.min()) < 0 or int(pending.max()) >= 1 << 31
+    ):
+        raise ValueError("pass container: L1 line out of range")
     if counts[3]:
-        addrs = _ragged_split(cols["t3_addrs"], cols["t3_na"])
-        fts = _ragged_split(cols["t3_ft"], cols["t3_nft"])
         items = [
-            (3, w, a, lat, occ, nb, nl, wr, un, iid, nh, ft)
-            for w, a, lat, occ, nb, nl, wr, un, iid, nh, ft in zip(
-                cols["t3_w"].tolist(), addrs, cols["t3_lat"].tolist(),
+            (3, w, na, lat, occ, nb, nl, wr, un, iid)
+            for w, na, lat, occ, nb, nl, wr, un, iid in zip(
+                cols["t3_w"].tolist(), cols["t3_na"].tolist(),
+                cols["t3_lat"].tolist(),
                 cols["t3_occ"].tolist(), cols["t3_nbytes"].tolist(),
                 cols["t3_nlines"].tolist(),
                 (cols["t3_write"] != 0).tolist(),
                 (cols["t3_unit"] != 0).tolist(),
-                cols["t3_iid"].tolist(), cols["t3_nh0"].tolist(), fts,
+                cols["t3_iid"].tolist(),
             )
         ]
         out[kinds == 3] = np.fromiter(items, object, count=len(items))
     if counts[4]:
-        addrs = _ragged_split(cols["t4_addrs"], cols["t4_na"])
-        fts = _ragged_split(cols["t4_ft"], cols["t4_nft"])
         items = [
-            (4, w, a, lat, occ, wr, nh, ft)
-            for w, a, lat, occ, wr, nh, ft in zip(
-                cols["t4_w"].tolist(), addrs, cols["t4_lat"].tolist(),
-                cols["t4_occ"].tolist(),
+            (4, w, na, lat, occ, wr)
+            for w, na, lat, occ, wr in zip(
+                cols["t4_w"].tolist(), cols["t4_na"].tolist(),
+                cols["t4_lat"].tolist(), cols["t4_occ"].tolist(),
                 (cols["t4_write"] != 0).tolist(),
-                cols["t4_nh0"].tolist(), fts,
             )
         ]
         out[kinds == 4] = np.fromiter(items, object, count=len(items))
@@ -921,8 +900,9 @@ def decode_pass(blob: bytes) -> Tuple[dict, list, Dict[str, float], dict]:
         "l1_lat": hgc["l1_lat"],
         "ooo_hide": hgc["ooo_hide"],
         "scalar_cpi": hgc["scalar_cpi"],
+        "l1_shift": hgc["l1_shift"],
         "l2_shift": hgc["l2_shift"],
-        "distinct": set(cols["gc_distinct"].tolist()),
+        "lines": array("i", pending.astype(np.intc).tobytes()),
         "max_range_total": hgc["max_range_total"],
         "has_fills": bool(hgc["has_fills"]),
         "pf2_cfg": bool(hgc["pf2_cfg"]),

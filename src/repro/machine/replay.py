@@ -60,20 +60,20 @@ state and checked by tests/test_trace_replay.py:
 
 Each point is priced by one pipeline (:func:`_run_points`): the
 program's point-independent columns (:func:`_skeleton`), the point's L2
-walk (:func:`_walk`, one ``(nh, nm)`` split per event), interning into
-pricing classes (:func:`_intern`), and column arithmetic
-(:func:`_point_pass_vec`).  The walk has three modes.  An L2 in which
-no set's distinct-line population exceeds the associativity never
-evicts: a lookup then hits **iff** the line was touched before, which
-the shared pass precomputes per event (a repeat count plus the list of
-first-touch lines), so only the residency-range checks run
-(*conflict-free*).  When few sets are overcommitted, only their lines
-run the LRU walk (*hybrid*).  Otherwise, or when prefetcher or
-prefetch-hint fills insert lines outside the demand stream, every line
-does (*exact*).  The pricing folds are strictly sequential in event
-order (NumPy accumulate and bincount-with-weights are defined as
-in-order loops, unlike the pairwise ``np.sum``), so the result stays
-bitwise identical.
+walk (one ``(nh, nm)`` split per event), interning into pricing classes
+(:func:`_intern`), and column arithmetic (:func:`_point_pass_vec`).
+Without prefetch fills (no L2 prefetcher, no honoured software
+prefetch) the L2 sees the pure demand stream, and :func:`_lru_walk`
+resolves it with NumPy: an access hits in an LRU set iff the same line
+was touched before with fewer than ``assoc`` distinct same-set lines in
+between (Mattson et al.'s stack distance), which the per-group reuse
+columns (:func:`_reuse`) answer for most accesses outright; the rest
+count distinct lines over their set-local windows.  Only the LRU misses
+then run the residency-range check.  Groups with prefetch fills run
+the sequential LRU loop (:func:`_walk`), which is also the test oracle.
+The pricing folds are strictly sequential in event order (NumPy
+accumulate and bincount-with-weights are defined as in-order loops,
+unlike the pairwise ``np.sum``), so the result stays bitwise identical.
 
 The hierarchy walks in :class:`_GroupCapture` mirror
 ``MemoryHierarchy._l1_path`` / ``_l2_path`` and their strided variants
@@ -258,10 +258,13 @@ def group_mode(machines: Sequence[MachineConfig]) -> Optional[str]:
       VectorCache size, L2 line size); callers must fall back to
       per-point simulation.
 
-    The L2 *line size* must match across the group — it sets the line
-    granularity of the recorded pending-line lists.
+    The L2 *line size* must match across the group, and be at least the
+    L1 line — pending lines are recorded as L1 lines and grouped into
+    L2 lines per point.
     """
     m0 = machines[0]
+    if m0.l2.line_bytes < m0.l1.line_bytes:
+        return None
     v0 = m0.vpu
     mode = "l2"
     for m in machines[1:]:
@@ -368,17 +371,18 @@ class _GroupCapture(SampledTraceBase):
       of items that add cycles, so no spurious ``kernel_cycles``
       entries).
     * ``(2, base, nbytes)`` — ``note_resident_range`` call.
-    * ``(3, w, addrs, inv_lat, occ1, nbytes, n_lines, write, unit, iid,
-      nh0, ft)`` — a vector memory event with pending lines for the L2.
-      ``addrs`` holds one *byte address* per pending line (the
-      source-level granularity and shift are group constants, so they
-      are folded here once instead of per line per point; the point
-      pass recovers the L2 line as ``a >> l2_shift``).  ``nh0`` counts
-      lines touched before (guaranteed hits in a conflict-free L2) and
-      ``ft`` holds the first-touch lines' addresses, both for the
-      shortcut modes of :func:`_walk`.
-    * ``(4, w, addrs, inv_lat, occ1, write, nh0, ft)`` — a scalar
-      access with at least one L1 miss.
+    * ``(3, w, na, inv_lat, occ1, nbytes, n_lines, write, unit, iid)`` —
+      a vector memory event with ``na`` pending lines for the L2.
+    * ``(4, w, na, inv_lat, occ1, write)`` — a scalar access with at
+      least one L1 miss.
+
+      The pending lines of tag-3/4 items are not held in the items:
+      ``gc["lines"]`` (an ``array("i")``) lists them for the whole
+      program in stream order, as *L1-line* indices (the source-level
+      granularity is a group constant, folded here once instead of per
+      line per point): the residency-range check reads the byte
+      address ``line << l1_shift`` and the L2 the line
+      ``(line << l1_shift) >> l2_shift``.
     * ``(5, lines)`` — honoured software-prefetch fills into the L2.
     * ``(6, w, cid)`` — (``defer_vpu`` mode only) a VPU-priced event
       whose cycle cost depends on lane count / MLP / port width.  The
@@ -427,16 +431,14 @@ class _GroupCapture(SampledTraceBase):
         self._noop_pf = base.sw_prefetch_is_noop_instr
         self._vb_cycles = vbroadcast_cycles(vpu)
         # Vector pending lines are L1-granular on an L1-port machine,
-        # L2-granular otherwise; scalar ones are always L1-granular.
-        # Both are emitted as byte addresses (granularity folded at
-        # capture).  ``seen`` (the first-touch set, = the distinct-line
-        # set the eligibility checks use) is kept L2-granular.
-        self._v_shift = self._l1_shift if self._port_l1 else self._l2_shift
+        # L2-granular otherwise (scaled to L1 lines by ``_v_up``
+        # places); scalar ones are always L1-granular.
+        self._v_up = 0 if self._port_l1 else self._l2_shift - self._l1_shift
 
         self._prog: list = []
         self._append = self._prog.append  # pre-bound: hot-path use
         self._cur_label: Optional[str] = None  # forces the first switch
-        self._seen: set = set()
+        self._lines = array("i")  # pending L1 lines of tags 3/4, in order
         self._inv_ids: dict = {}
         self._vmem_inv_memo: dict = {}
         self._varith_memo: dict = {}
@@ -565,17 +567,8 @@ class _GroupCapture(SampledTraceBase):
             self._l1_misses_c += w * 1
             # occ1 = 0.0 + fill_l1 and lat_i += l1_lat, as in the loop.
             lat_i += self._l1_lat
-            a = first << l1_shift
-            k = a >> self._l2_shift
-            seen = self._seen
-            if k in seen:
-                nh0 = 1
-                ft = ()
-            else:
-                seen.add(k)
-                nh0 = 0
-                ft = (a,)
-            append((4, w, (a,), lat_i, 0.0 + self._fill_l1, write, nh0, ft))
+            self._lines.append(first)
+            append((4, w, 1, lat_i, 0.0 + self._fill_l1, write))
             return
         tlb = self._tlb
         lat_i = tlb.access(addr, nbytes) if tlb is not None else 0
@@ -618,21 +611,8 @@ class _GroupCapture(SampledTraceBase):
             append((1, label))
             self._cur_label = label
         if pend:
-            seen = self._seen
-            l2_shift = self._l2_shift
-            nh0 = 0
-            addrs = []
-            ft = []
-            for la in pend:
-                a = la << l1_shift
-                addrs.append(a)
-                k = a >> l2_shift
-                if k in seen:
-                    nh0 += 1
-                else:
-                    seen.add(k)
-                    ft.append(a)
-            append((4, w, tuple(addrs), lat_i, occ1, write, nh0, tuple(ft)))
+            self._lines.extend(pend)
+            append((4, w, len(pend), lat_i, occ1, write))
         else:
             # Lock-step with TraceSimulator.scalar_load/scalar_store
             # (occupancies are 0.0 without an L1 miss).
@@ -877,24 +857,11 @@ class _GroupCapture(SampledTraceBase):
             iid = inv_ids.get(key)
             if iid is None:
                 iid = inv_ids[key] = len(inv_ids)
-            seen = self._seen
-            v_shift = self._v_shift
-            l2_shift = self._l2_shift
-            nh0 = 0
-            addrs = []
-            ft = []
-            for la in pend:
-                a = la << v_shift
-                addrs.append(a)
-                k = a >> l2_shift
-                if k in seen:
-                    nh0 += 1
-                else:
-                    seen.add(k)
-                    ft.append(a)
+            up = self._v_up
+            self._lines.extend([la << up for la in pend] if up else pend)
             append(
-                (3, w, tuple(addrs), lat_i, occ1, nbytes, n_lines, write,
-                 unit, iid, nh0, tuple(ft))
+                (3, w, len(pend), lat_i, occ1, nbytes, n_lines, write, unit,
+                 iid)
             )
         elif self._defer:
             # Fully served upstream, but the price reads the VPU:
@@ -1038,8 +1005,9 @@ class _GroupCapture(SampledTraceBase):
             "l1_lat": self._l1_lat,
             "ooo_hide": self._ooo_hide,
             "scalar_cpi": self._scalar_cpi,
+            "l1_shift": self._l1_shift,
             "l2_shift": self._l2_shift,
-            "distinct": self._seen,
+            "lines": self._lines,
             "max_range_total": self._max_range_total,
             "has_fills": self._has_fills,
             "pf2_cfg": self._pf2_cfg,
@@ -1161,9 +1129,11 @@ class _Skeleton:
     of :class:`_VecProgram`.  Each class item (tags 3, 4 and 6) carries
     ``bid``, the id of its point-independent pricing inputs in
     ``base_defs``; ``is_event`` marks the tag-3/4 items, whose
-    ``(nh, nm)`` split :func:`_walk` supplies in stream order.
-    ``walk`` is the ordered list of the program items the walk reads
-    (tags 2 to 5).
+    ``(nh, nm)`` split the walk supplies in stream order.  ``walk`` is
+    the ordered list of the program items the sequential walk reads
+    (tags 2 to 5); ``ev_end`` holds each tag-3/4 item's end offset into
+    ``gc["lines"]``, and ``notes`` each tag-2 item as ``(offset, base,
+    nbytes)``, the offset counting the pending lines before it.
     """
 
     __slots__ = (
@@ -1175,6 +1145,8 @@ class _Skeleton:
         "is_event",
         "base_defs",
         "walk",
+        "ev_end",
+        "notes",
     )
 
 
@@ -1197,11 +1169,15 @@ def _skeleton(prog: list) -> _Skeleton:
     bid_ids: dict = {}
     base_defs: list = []
     walk: list = []
+    ev_end = array("i")
+    notes: list = []
+    n_lines = 0
     # Pre-bound: the class-item branch runs once per priced event.
     bid_of = bid_ids.get
     pos_append = cls_pos.append
     bid_append = bids.append
     walk_append = walk.append
+    end_append = ev_end.append
     for it in prog:
         if type(it) is float:
             base_append(it)
@@ -1211,8 +1187,10 @@ def _skeleton(prog: list) -> _Skeleton:
             if tag == 6:
                 key = it
             else:
-                key = (3, it[9]) if tag == 3 else it[:2] + it[3:6]
+                key = (3, it[9]) if tag == 3 else it[:2] + it[3:]
                 walk_append(it)
+                n_lines += it[2]
+                end_append(n_lines)
             b = bid_of(key)
             if b is None:
                 b = bid_ids[key] = len(base_defs)
@@ -1229,6 +1207,8 @@ def _skeleton(prog: list) -> _Skeleton:
             run_kid.append(kid)
         else:  # tags 2 and 5: residency-range notes, prefetch fills
             walk.append(it)
+            if tag == 2:
+                notes.append((n_lines, it[1], it[2]))
     run_at.append(len(base_vals))
     # The array buffers back the columns without a copy.
     skel = _Skeleton()
@@ -1242,93 +1222,29 @@ def _skeleton(prog: list) -> _Skeleton:
     ]
     skel.base_defs = base_defs
     skel.walk = walk
+    skel.ev_end = np.frombuffer(ev_end, dtype=np.intc)
+    skel.notes = notes
     return skel
 
 
-def _hot_mask(lines: np.ndarray, machine: MachineConfig) -> np.ndarray:
-    """Which distinct L2 lines (of *lines*) map to a set whose
-    distinct-line population exceeds *machine*'s L2 associativity."""
-    l2 = machine.l2
-    sets = lines % (l2.size_bytes // (l2.assoc * l2.line_bytes))
-    return np.bincount(sets)[sets] > l2.assoc
-
-
-def _walk_mode(gc: dict, lines: np.ndarray, machine: MachineConfig):
-    """The cheapest valid walk of *machine*, as the ``hot`` argument of
-    :func:`_walk`: an empty set (conflict-free), the hot lines (hybrid,
-    when under half the distinct lines are hot) or ``None`` (exact)."""
-    l2 = machine.l2
-    if (
-        gc["has_fills"]
-        or gc["pf2_cfg"]
-        or l2.size_bytes // (l2.assoc * l2.line_bytes) <= 0
-    ):
-        return None
-    hot = _hot_mask(lines, machine)
-    n_hot = int(np.count_nonzero(hot))
-    if n_hot and 2 * n_hot >= len(lines):
-        return None
-    return set(lines[hot].tolist())
-
-
-def _walk(skel: _Skeleton, gc: dict, machine: MachineConfig, hot):
-    """Resolve every tag-3/4 event's L2 outcome on *machine*.
+def _walk(skel: _Skeleton, gc: dict, machine: MachineConfig):
+    """Resolve every tag-3/4 event's L2 outcome on *machine*, line by line.
 
     Returns the ``(nh, nm)`` columns (L2 hits incl. residency-range
     hits, DRAM misses), one entry per event in stream order.  The
-    outcome reads only the point's L2 geometry, L2 prefetcher and
-    range budget; *hot* (see :func:`_walk_mode`) picks the mode:
-
-    * an empty set — *conflict-free*: no set ever exceeds its
-      associativity, so the L2 never evicts and a lookup hits iff the
-      line was touched before.  The shared pass counted those repeats
-      (``nh0``); only the first-touch lines ``ft`` run the range check;
-    * a non-empty set — *hybrid*: lines of the hot sets run the LRU
-      walk, other first touches the range check and other repeats hit;
-    * ``None`` — *exact*: every line runs the LRU walk, misses feed
-      the L2 prefetcher and tag-5 items fill the L2.
-
-    Range checks run in stream order in every mode, interleaved with
-    the LRU walk, because ``_range_hit`` LRU-refreshes the range list
-    and a later trim picks its victims by that order.  The two
-    shortcut modes need the pure demand stream: no prefetch fills.
+    outcome reads only the point's L2 geometry, L2 prefetcher and range
+    budget.  This is the sequential LRU walk of the direct simulator:
+    every pending line looks the L2 up, an L2 miss runs the range check
+    (in stream order, because ``_range_hit`` LRU-refreshes the range
+    list and a later trim picks its victims by that order) and, on a
+    DRAM miss, feeds the L2 prefetcher; tag-5 items fill the L2.
+    :func:`_run_points` uses it for groups with prefetch fills; the
+    rest take :func:`_lru_walk`, which it is the oracle for.
     """
     nh_col = array("q")
     nm_col = array("q")
     nh_append = nh_col.append
     nm_append = nm_col.append
-    if hot is not None and (gc["has_fills"] or gc["pf2_cfg"]):
-        raise ValueError("prefetch fills in a conflict-free or hybrid walk")
-    if hot is not None and not hot:
-        hier = MemoryHierarchy.pricing_view(machine)
-        range_hit = hier._range_hit
-        note_range = hier.note_resident_range
-        # _range_hit only reorders the range list in place;
-        # note_resident_range (tag 2) rebinds it, refreshed there.
-        ranges = hier._ranges
-        for it in skel.walk:
-            tag = it[0]
-            if tag == 3:
-                nh, ft = it[10], it[11]
-            elif tag == 4:
-                nh, ft = it[6], it[7]
-            else:
-                note_range(it[1], it[2])
-                ranges = hier._ranges
-                continue
-            nm = 0
-            for a in ft:
-                if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                    nh += 1
-                else:
-                    nm += 1
-            nh_append(nh)
-            nm_append(nm)
-        return (
-            np.frombuffer(nh_col, dtype=np.int64),
-            np.frombuffer(nm_col, dtype=np.int64),
-        )
-
     hier = MemoryHierarchy.l2_walk_view(machine)
     l2 = hier.l2
     l2_sets, l2_num, l2_assoc = l2._sets, l2.num_sets, l2.assoc
@@ -1338,44 +1254,37 @@ def _walk(skel: _Skeleton, gc: dict, machine: MachineConfig, hot):
     v_pf2 = pf2 if gc["port_l1"] else None
     range_hit = hier._range_hit
     note_range = hier.note_resident_range
+    l1_shift = gc["l1_shift"]
     l2_shift = gc["l2_shift"]
-    every = hot is None
-    cold_ft: tuple = ()
+    lines = gc["lines"]
+    at = 0
     ranges = hier._ranges
     for it in skel.walk:
         tag = it[0]
         if tag == 3 or tag == 4:
-            if tag == 3:
-                ft, pf = it[11], v_pf2
-            else:
-                ft, pf = it[7], pf2
-            if not every:
-                cold_ft = set(ft) if ft else ()
+            pf = v_pf2 if tag == 3 else pf2
             nh = nm = 0
-            for a in it[2]:
+            end = at + it[2]
+            for k in range(at, end):
+                a = lines[k] << l1_shift
                 l2a = a >> l2_shift
-                if every or l2a in hot:
-                    ways = l2_sets[l2a % l2_num]
-                    if ways.pop(l2a, None) is not None:
-                        # Dirty bits only feed writeback counters SimStats
-                        # never reads; storing True keeps LRU state exact.
-                        ways[l2a] = True
-                        nh += 1
-                        continue
+                ways = l2_sets[l2a % l2_num]
+                if ways.pop(l2a, None) is not None:
+                    # Dirty bits only feed writeback counters SimStats
+                    # never reads; storing True keeps LRU state exact.
                     ways[l2a] = True
-                    if len(ways) > l2_assoc:
-                        ways.pop(next(iter(ways)))
-                elif a in cold_ft:
-                    cold_ft.remove(a)  # cold first touch: range check
-                else:
-                    nh += 1  # cold repeat: can never have been evicted
+                    nh += 1
                     continue
+                ways[l2a] = True
+                if len(ways) > l2_assoc:
+                    ways.pop(next(iter(ways)))
                 if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
                     nh += 1
                 else:
                     nm += 1
                     if pf is not None:
                         pf.observe(l2, l2a)
+            at = end
             nh_append(nh)
             nm_append(nm)
         elif tag == 2:
@@ -1392,6 +1301,213 @@ def _walk(skel: _Skeleton, gc: dict, machine: MachineConfig, hot):
         np.frombuffer(nh_col, dtype=np.int64),
         np.frombuffer(nm_col, dtype=np.int64),
     )
+
+
+class _Reuse:
+    """Per-group reuse columns of the demand stream ``gc["lines"]``.
+
+    ``l2`` is each pending line's L2 line, ``prev`` the position of the
+    previous access to the same L2 line (-1 for a first touch), and
+    ``unique`` the sorted distinct L2 lines.  Point-independent: the
+    L2 line size is uniform across a group.
+    """
+
+    __slots__ = ("l2", "prev", "unique")
+
+
+def _reuse(gc: dict) -> _Reuse:
+    """The group's :class:`_Reuse` columns, built once and memoized in
+    *gc* (next to the program skeleton)."""
+    ru = gc.get("reuse")
+    if ru is not None:
+        return ru
+    lines = np.frombuffer(gc["lines"], dtype=np.intc)
+    l2 = lines >> (gc["l2_shift"] - gc["l1_shift"])
+    order = np.argsort(l2, kind="stable").astype(np.intc)
+    srt = l2[order]
+    same = srt[1:] == srt[:-1]
+    prev = np.full(len(l2), -1, dtype=np.intc)
+    prev[order[1:][same]] = order[:-1][same]
+    del order
+    ru = gc["reuse"] = _Reuse()
+    ru.l2 = l2
+    ru.prev = prev
+    ru.unique = srt[np.concatenate(([True], ~same))] if len(srt) else srt
+    return ru
+
+
+def _n_sets(machine: MachineConfig) -> int:
+    l2 = machine.l2
+    return l2.size_bytes // (l2.assoc * l2.line_bytes)
+
+
+def _conflict_free(ru: _Reuse, machine: MachineConfig) -> bool:
+    """True if no L2 set of *machine* receives more distinct lines than
+    its associativity: such an L2 never evicts, so a lookup hits iff
+    the line was touched before."""
+    if not len(ru.unique):
+        return True
+    _, pop = np.unique(ru.unique % _n_sets(machine), return_counts=True)
+    return int(pop.max()) <= machine.l2.assoc
+
+
+#: Window positions expanded at once by :func:`_window_counts` (bounds
+#: its temporaries to a few MB whatever the trace length).
+_WINDOW_CHUNK = 1 << 17
+
+
+def _window_counts(prev, seq, start, length, p) -> np.ndarray:
+    """For each query ``q``: how many of the set-local positions
+    ``start[q] .. start[q] + length[q] - 1`` of *seq* hold an access
+    whose previous touch (*prev*) lies before stream position ``p[q]``
+    — the distinct lines first touched there since ``p[q]``.  Every
+    length must be positive."""
+    out = np.empty(len(start), dtype=np.intc)
+    ends = np.cumsum(length, dtype=np.int64)
+    lo = 0
+    while lo < len(start):
+        # Queries [lo, hi) expand to at most _WINDOW_CHUNK positions
+        # (or to one longer window).
+        limit = ends[lo] - length[lo] + _WINDOW_CHUNK
+        hi = max(lo + 1, int(np.searchsorted(ends, limit, "right")))
+        g = length[lo:hi]
+        first = np.cumsum(g) - g
+        pos = np.repeat(start[lo:hi] - first, g) + np.arange(
+            int(first[-1] + g[-1]), dtype=np.intc
+        )
+        fresh = prev[seq[pos]] < np.repeat(p[lo:hi], g)
+        del pos
+        out[lo:hi] = np.add.reduceat(fresh, first, dtype=np.intc)
+        lo = hi
+    return out
+
+
+def _lru_hits(ru: _Reuse, machine: MachineConfig) -> np.ndarray:
+    """Which pending lines hit in *machine*'s LRU L2, demand stream only.
+
+    An access hits iff its line was touched before and fewer than
+    ``assoc`` distinct lines of its set were touched in between (its
+    LRU stack distance is below the associativity).  A global gap below
+    ``assoc`` accesses decides a hit outright, and so does any repeat in
+    a set that never holds more than ``assoc`` distinct lines.  For the
+    rest, the set-local gap (accesses to the same set in between)
+    decides a hit when below ``assoc``; otherwise the distinct lines in
+    the set-local window are counted (:func:`_window_counts`: a window
+    position counts iff its own previous touch lies before the window)
+    until ``assoc`` of them are found or the window ends.
+    """
+    prev = ru.prev
+    hit = prev >= 0
+    n_sets = _n_sets(machine)
+    assoc = machine.l2.assoc
+    d_sets, pop = np.unique(ru.unique % n_sets, return_counts=True)
+    hot_sets = d_sets[pop > assoc]
+    if not len(hot_sets):
+        return hit
+    sets = ru.l2 % n_sets
+    cand = hit & (np.arange(len(prev), dtype=np.intc) - prev > assoc)
+    members = None  # accesses of the hot sets; None: every access
+    if len(hot_sets) < len(d_sets):
+        hot = np.zeros(n_sets, dtype=bool)
+        hot[hot_sets] = True
+        in_hot = hot[sets]
+        cand &= in_hot
+        members = np.flatnonzero(in_hot).astype(np.intc)
+        del hot, in_hot
+    cand = np.flatnonzero(cand)
+    if not len(cand):
+        return hit
+    # The hot sets' accesses ordered by (set, time): set-local order.
+    key = sets if members is None else sets[members]
+    del sets
+    if n_sets <= 1 << 16:
+        key = key.astype(np.uint16)  # a stable radix sort
+    order = np.argsort(key, kind="stable")
+    del key
+    seq = order.astype(np.intc) if members is None else members[order]
+    del order, members
+    rank = np.empty(len(prev), dtype=np.intc)
+    rank[seq] = np.arange(len(seq), dtype=np.intc)
+    at = rank[cand]
+    p = prev[cand]
+    start = rank[p] + 1
+    del rank
+    gap = at - start
+    amb = gap >= assoc
+    cand, p, start, gap = cand[amb], p[amb], start[amb], gap[amb]
+    # Read the windows in growing slices: a slice's count never exceeds
+    # the window's, and a window that thrashes its set reaches ``assoc``
+    # distinct lines (a miss) long before its end.
+    n_distinct = np.zeros(len(cand), dtype=np.intc)
+    read = np.zeros(len(cand), dtype=np.intc)
+    live = np.arange(len(cand))
+    step = 2 * assoc
+    while len(live):
+        take = np.minimum(gap[live] - read[live], step)
+        n_distinct[live] += _window_counts(
+            prev, seq, start[live] + read[live], take, p[live]
+        )
+        read[live] += take
+        live = live[(n_distinct[live] < assoc) & (read[live] < gap[live])]
+        step *= 2
+    hit[cand] = n_distinct < assoc
+    return hit
+
+
+def _lru_walk(
+    skel: _Skeleton, gc: dict, machine: MachineConfig, free: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Resolve every tag-3/4 event's L2 outcome on *machine* with NumPy.
+
+    Same result as :func:`_walk` for a group without prefetch fills.
+    The LRU outcome comes from the reuse columns (:func:`_lru_hits`, or
+    just "touched before" when *free*, i.e. :func:`_conflict_free`);
+    the LRU misses then run the residency-range check, one segment per
+    interval between range notes.  Registered ranges are disjoint, so a
+    miss's membership inside a segment does not depend on their order;
+    the LRU refreshes ``_range_hit`` would have made are applied at the
+    end of each segment (the ranges hit move to the MRU end, by their
+    last hit), before the next note trims by that order.
+    """
+    ru = _reuse(gc)
+    hit = ru.prev >= 0 if free else _lru_hits(ru, machine)
+    miss = np.flatnonzero(~hit)
+    del hit
+    in_range = np.zeros(len(miss), dtype=bool)
+    lines = np.frombuffer(gc["lines"], dtype=np.intc)
+    l1_shift = gc["l1_shift"]
+    hier = MemoryHierarchy.pricing_view(machine)
+    notes = skel.notes
+    cuts = np.searchsorted(miss, [n[0] for n in notes]).tolist()
+    cuts.append(len(miss))
+    lo = 0
+    for k, hi in enumerate(cuts):
+        ranges = hier._ranges
+        if hi > lo and ranges:
+            addr = lines[miss[lo:hi]].astype(np.int64) << l1_shift
+            starts = np.array([r[0] for r in ranges], dtype=np.int64)
+            ends = np.array([r[1] for r in ranges], dtype=np.int64)
+            order = np.argsort(starts)
+            j = np.searchsorted(starts[order], addr, "right") - 1
+            rid = order[np.maximum(j, 0)]
+            inside = (j >= 0) & (addr < ends[rid])
+            in_range[lo:hi] = inside
+            used = rid[inside][::-1]  # newest hit first
+            if len(used) and not (used == len(ranges) - 1).all():
+                ids, newest = np.unique(used, return_index=True)
+                mru = ids[np.argsort(-newest)].tolist()  # by last hit
+                moved = set(mru)
+                hier._ranges = [
+                    r for i, r in enumerate(ranges) if i not in moved
+                ] + [ranges[i] for i in mru]
+        if k < len(notes):
+            hier.note_resident_range(notes[k][1], notes[k][2])
+        lo = hi
+    dram = miss[~in_range]
+    bounds = np.concatenate(([0], skel.ev_end))
+    nm = np.diff(np.searchsorted(dram, bounds)).astype(np.int64)
+    nh = np.diff(bounds).astype(np.int64) - nm
+    return nh, nm
 
 
 def _intern(skel: _Skeleton, nh: np.ndarray, nm: np.ndarray) -> _VecProgram:
@@ -1529,11 +1645,12 @@ def _run_points(
 
     Every point takes one route: skeleton -> walk -> intern -> price.
     Its walk outcome is keyed by a *tier*: ``fast:<budget>`` for a
-    conflict-free point (the outcome depends only on the L2 byte budget,
-    ``None`` when the residency ranges never trim), ``walk:<fp>``
-    otherwise (the L2 geometry and prefetcher fingerprint).  Per tier,
-    the compiled columns are loaded or walked once (:func:`_walk` in the
-    mode :func:`_walk_mode` picks, then :func:`_intern`); every point is
+    conflict-free point of a group without prefetch fills (the outcome
+    depends only on the L2 byte budget, ``None`` when the residency
+    ranges never trim), ``walk:<fp>`` otherwise (the L2 geometry and
+    prefetcher fingerprint).  Per tier, the compiled columns are loaded
+    or walked once (:func:`_lru_walk`, or :func:`_walk` for a group with
+    prefetch fills, then :func:`_intern`); every point is
     then priced with column arithmetic (:func:`_point_pass_vec`), and
     points that also share ``(l2_latency, dram_latency,
     dram_bytes_per_cycle, vpu)`` copy the first one's stats.  So a lane
@@ -1550,8 +1667,7 @@ def _run_points(
     path trust a fast tier without re-deriving conflict-freedom from
     the program.
     """
-    distinct = gc["distinct"]
-    lines = np.fromiter(distinct, dtype=np.int64, count=len(distinct))
+    demand_only = not gc["has_fills"] and not gc["pf2_cfg"]
     max_total = gc["max_range_total"]
     if cache_ctx is not None:
         from ..core import tracecache
@@ -1591,23 +1707,21 @@ def _run_points(
             trace_sha256=digest, compat=compat,
         )
 
-    tiers: dict = {}  # token -> (tier, hot, indices of its points)
+    tiers: dict = {}  # token -> (tier, indices of its points)
     for i, m in enumerate(machines):
-        hot = _walk_mode(gc, lines, m)
-        if hot is not None and not hot:
+        if demand_only and _conflict_free(_reuse(gc), m):
             tier = _fast_tier(
                 None if max_total <= m.l2.size_bytes else m.l2.size_bytes
             )
         else:
             tier = _walk_tier(m)
-        tier, hot, idxs = tiers.setdefault(tier["token"], (tier, hot, []))
+        tier, idxs = tiers.setdefault(tier["token"], (tier, []))
         idxs.append(i)
         if tier["kind"] == "fast":
             tier["fps"].append(_machine_walk_fp(m))
 
     results: List[Optional[SimStats]] = [None] * len(machines)
-    while tiers:  # popping frees each hot set once its tier is priced
-        tier, hot, idxs = tiers.pop(next(iter(tiers)))
+    for tier, idxs in tiers.values():
         if tier["kind"] == "fast":
             tier["fps"] = sorted(set(tier["fps"]))
         cols = _load_tier(tier)
@@ -1615,7 +1729,13 @@ def _run_points(
             skel = gc.get("skeleton")
             if skel is None:
                 skel = gc["skeleton"] = _skeleton(prog)
-            cols = _intern(skel, *_walk(skel, gc, machines[idxs[0]], hot))
+            m = machines[idxs[0]]
+            if demand_only:
+                walked = _lru_walk(skel, gc, m, tier["kind"] == "fast")
+            else:
+                walked = _walk(skel, gc, m)
+            cols = _intern(skel, *walked)
+            del walked
             _store_tier(tier, cols)
         owner: dict = {}  # pricing signature -> index of the priced point
         for i in idxs:
@@ -1627,6 +1747,7 @@ def _run_points(
                 if j == i
                 else _copy_stats(results[j])
             )
+        del cols  # one tier's columns alive at a time
     return results
 
 

@@ -11,8 +11,8 @@ its cold capture run — serial and parallel, spill on or off.
 """
 
 import os
+from array import array
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,22 +66,22 @@ def hexs(stats: SimStats):
 finite = st.floats(allow_nan=False, allow_infinity=False)
 posint = st.integers(min_value=0, max_value=2**40)
 addrs = st.lists(posint, min_size=0, max_size=4).map(tuple)
+n_pending = st.integers(min_value=0, max_value=4)
 
 item = st.one_of(
     finite,
     st.tuples(st.just(1), st.text(max_size=6)),
     st.tuples(st.just(2), posint, posint),
     st.builds(
-        lambda w, a, lat, occ, nb, nl, wr, un, iid, nh, ft:
-            (3, w, a, lat, occ, nb, nl, wr, un, iid, nh, ft),
-        finite, addrs, posint, finite, posint,
+        lambda w, na, lat, occ, nb, nl, wr, un, iid:
+            (3, w, na, lat, occ, nb, nl, wr, un, iid),
+        finite, n_pending, posint, finite, posint,
         st.integers(min_value=0, max_value=64), st.booleans(), st.booleans(),
-        posint, st.integers(min_value=0, max_value=64), addrs,
+        posint,
     ),
     st.builds(
-        lambda w, a, lat, occ, wr, nh, ft: (4, w, a, lat, occ, wr, nh, ft),
-        finite, addrs, posint, finite, st.booleans(),
-        st.integers(min_value=0, max_value=64), addrs,
+        lambda w, na, lat, occ, wr: (4, w, na, lat, occ, wr),
+        finite, n_pending, posint, finite, st.booleans(),
     ),
     st.tuples(st.just(5), addrs),
     st.tuples(st.just(6), finite, st.integers(min_value=0, max_value=7)),
@@ -95,15 +95,21 @@ CLASSES = [
 ]
 
 
-def make_gc(distinct):
+def n_lines(prog):
+    """Pending lines the tag-3/4 items of *prog* own in ``gc["lines"]``."""
+    return sum(it[2] for it in prog if type(it) is tuple and it[0] in (3, 4))
+
+
+def make_gc(lines):
     return {
         "vpu": None,
         "port_l1": True,
         "l1_lat": 4,
         "ooo_hide": 0.5,
         "scalar_cpi": 1.0,
+        "l1_shift": 6,
         "l2_shift": 6,
-        "distinct": set(distinct),
+        "lines": array("i", lines),
         "max_range_total": 1 << 20,
         "has_fills": False,
         "pf2_cfg": False,
@@ -112,10 +118,14 @@ def make_gc(distinct):
 
 
 class TestCodecRoundTrip:
-    @given(st.lists(item, max_size=40), st.lists(posint, max_size=8))
+    @given(st.lists(item, max_size=40), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_pass_roundtrip_any_program(self, prog, distinct):
-        gc = make_gc(distinct)
+    def test_pass_roundtrip_any_program(self, prog, data):
+        lines = data.draw(st.lists(
+            st.integers(min_value=0, max_value=2**31 - 1),
+            min_size=n_lines(prog), max_size=n_lines(prog),
+        ))
+        gc = make_gc(lines)
         inv = {f: float(i) * 1.5 for i, f in enumerate(_INVARIANT_FIELDS)}
         blob = tc.encode_pass(
             prog, inv, gc, key="k", sig="s" * 12, defer=True,
@@ -128,11 +138,20 @@ class TestCodecRoundTrip:
         for f in _INVARIANT_FIELDS:
             assert inv[f].hex() == inv2[f].hex()
         assert gc2["vpu"] is None
-        assert gc2["distinct"] == gc["distinct"]
+        assert gc2["lines"] == gc["lines"]
+        assert gc2["lines"].typecode == "i"
         for a, b in zip(gc["classes"], gc2["classes"]):
             assert eq_item(a, b)
         assert header["trace_sha256"] == "t" * 64
         assert header["compat"] == COMPAT
+
+    def test_line_count_mismatch_raises(self):
+        # Every tag-3/4 item owns exactly its count of gc["lines"].
+        with pytest.raises(ValueError, match="pending-line"):
+            tc.encode_pass(
+                [(4, 1.0, 2, 10, 0.5, False)], {}, make_gc([7]), key="k",
+                sig="s", defer=False, trace_sha256="t" * 64, compat=COMPAT,
+            )
 
     def test_unknown_tag_raises(self):
         with pytest.raises(ValueError, match="tag"):
@@ -160,7 +179,8 @@ class TestCodecRoundTrip:
     ])
     def test_corruption_raises(self, mutate):
         blob = tc.encode_pass(
-            [1.0, (2, 64, 128), (6, 2.0, 1)], {"flops": 1.0}, make_gc([1, 2]),
+            [1.0, (2, 64, 128), (4, 1.0, 2, 10, 0.5, False), (6, 2.0, 1)],
+            {"flops": 1.0}, make_gc([1, 2]),
             key="k", sig="s" * 12, defer=True, trace_sha256="t" * 64,
             compat=COMPAT,
         )
@@ -235,7 +255,7 @@ class TestStoreLoad:
         m, trace, prog, inv_fields, gc = shared_pass_fixture()
         digest = trace.content_digest()
         skel = _skeleton(prog)
-        cols = _intern(skel, *_walk(skel, gc, m, set()))
+        cols = _intern(skel, *_walk(skel, gc, m))
         cols_dict = {s: getattr(cols, s) for s in cols.__slots__}
         tier = {"kind": "fast", "token": "f" * 12, "desc": "fast:None",
                 "fps": ["fp1"]}
@@ -345,8 +365,9 @@ class TestWarmSweeps:
     def test_hybrid_point_served_from_its_walk_tier(
         self, cache_dir, monkeypatch
     ):
-        """A hybrid-mode point persists its walk as a ``walk:<fp>``
-        tier, so a warm singleton never decodes the shared pass."""
+        """A point whose L2 has overcommitted sets persists its walk as
+        a ``walk:<fp>`` tier, so a warm singleton never decodes the
+        shared pass."""
         from repro.machine import replay as R
         from repro.nets.zoo import yolov3_tiny
 
@@ -366,8 +387,7 @@ class TestWarmSweeps:
             net.record_trace(m, KernelPolicy(), n_layers=3), m,
             defer_vpu=True,
         )
-        lines = np.fromiter(gc["distinct"], dtype=np.int64)
-        assert R._walk_mode(gc, lines, m)  # a non-empty hot set: hybrid
+        assert not R._conflict_free(R._reuse(gc), m)  # a walk:<fp> tier
         calls = []
         served = []
         orig_cached = R._cached_point
@@ -392,9 +412,11 @@ class TestWarmSweeps:
 # Containers of an older pass format read as stale
 # ----------------------------------------------------------------------
 class TestFormatStaleness:
-    def test_version_1_tier_misses_and_is_quarantined(self, cache_dir):
-        """Version-1 containers numbered deferred-VPU classes in another
-        order than today's shared pass, so they must never be served."""
+    @staticmethod
+    def assert_old_pair_is_stale(cache_dir, version):
+        """Store a point's ``.rpp`` and ``.rvp`` tier, stamp both with
+        format *version*: both must miss, be quarantined, and the point
+        re-price bitwise like direct simulation."""
         from repro.machine import replay as R
 
         m = rvv_gem5(vlen_bits=512, lanes=4, l2_mb=1)
@@ -411,8 +433,8 @@ class TestFormatStaleness:
         assert all(len(p) == 1 for p in paths.values())
         for (path,) in paths.values():
             blob = bytearray(open(path, "rb").read())
-            assert blob[4] == tc.PASS_FORMAT_VERSION == 2
-            blob[4] = 1
+            assert blob[4] == tc.PASS_FORMAT_VERSION == 3
+            blob[4] = version
             open(path, "wb").write(bytes(blob))
         reset_process_state()
 
@@ -432,6 +454,16 @@ class TestFormatStaleness:
         got = replay_sweep(tc.get(key, spill=True), [m])[0]
         want = net.simulate(m, policy, use_cache=False, use_trace=False)
         assert hexs(got) == hexs(want)
+
+    def test_version_1_tier_misses_and_is_quarantined(self, cache_dir):
+        """Version-1 containers numbered deferred-VPU classes in another
+        order than today's shared pass, so they must never be served."""
+        self.assert_old_pair_is_stale(cache_dir, 1)
+
+    def test_version_2_pair_misses_and_is_quarantined(self, cache_dir):
+        """Version-2 programs carried per-item address tuples and
+        first-touch columns instead of one ``lines`` column."""
+        self.assert_old_pair_is_stale(cache_dir, 2)
 
 
 # ----------------------------------------------------------------------

@@ -10,11 +10,13 @@ uninterrupted run.
 import json
 import math
 import os
+from contextlib import nullcontext
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.core import simcache, sweep_cache_sizes, sweep_vector_lengths, tracecache
+from repro.core.codesign import ReplayFallbackWarning
 from repro.core.resilience import (
     Journal,
     PointFailure,
@@ -295,10 +297,15 @@ class TestFailureBudget:
         arm = fault_env
         arm(FaultSpec(site="worker.point", kind="raise", index=1, times=99))
         net = small_net()
-        res = sweep_cache_sizes(
-            net, [1, 2, 4], rvv_cache_factory, jobs=1,
-            retry=RetryPolicy(max_retries=1, backoff_s=0.001), max_failures=1,
-        )
+        # The fault first breaks the L2 group's replay: loud fallback.
+        with pytest.warns(ReplayFallbackWarning, match="InjectedFault") as rec:
+            res = sweep_cache_sizes(
+                net, [1, 2, 4], rvv_cache_factory, jobs=1,
+                retry=RetryPolicy(max_retries=1, backoff_s=0.001),
+                max_failures=1,
+            )
+        assert rec[0].message.exc_type == "InjectedFault"
+        assert "worker.point" in rec[0].message.error
         assert not res.ok
         assert res.sources[1] == "failed"
         (failure,) = res.failures()
@@ -310,7 +317,7 @@ class TestFailureBudget:
     def test_fail_fast_raises_original_exception(self, cache_env, fault_env):
         arm = fault_env
         arm(FaultSpec(site="worker.point", kind="raise", index=0, times=99))
-        with pytest.raises(InjectedFault):
+        with pytest.warns(ReplayFallbackWarning), pytest.raises(InjectedFault):
             sweep_cache_sizes(
                 small_net(), [1, 2], rvv_cache_factory, jobs=1,
                 retry=RetryPolicy(max_retries=0, backoff_s=0.001),
@@ -319,7 +326,7 @@ class TestFailureBudget:
     def test_budget_overflow_raises_sweep_error(self, cache_env, fault_env):
         arm = fault_env
         arm(FaultSpec(site="worker.point", kind="raise", times=99))
-        with pytest.raises(SweepError) as err:
+        with pytest.warns(ReplayFallbackWarning), pytest.raises(SweepError) as err:
             sweep_cache_sizes(
                 small_net(), [1, 2, 4], rvv_cache_factory, jobs=1,
                 retry=RetryPolicy(max_retries=0, backoff_s=0.001), max_failures=1,
@@ -424,7 +431,12 @@ class TestResumeIdentity:
         schedule = arm(
             FaultSpec(site="worker.point", kind="raise", index=2, times=4)
         )
-        with pytest.raises((InjectedFault, SweepError)):
+        # Serially, the fault first breaks the L2 group's replay.
+        fallback = (
+            pytest.warns(ReplayFallbackWarning)
+            if jobs == 1 and use_trace else nullcontext()
+        )
+        with fallback, pytest.raises((InjectedFault, SweepError)):
             sweep_cache_sizes(
                 net, mbs, rvv_cache_factory, jobs=jobs, use_trace=use_trace,
                 resume=True, retry=RetryPolicy(max_retries=0, backoff_s=0.001),
@@ -460,10 +472,12 @@ class TestResumeIdentity:
         clean = sweep_cache_sizes(net, mbs, rvv_cache_factory, jobs=1)
         arm = fault_env
         arm(FaultSpec(site="worker.point", kind="raise", index=1, times=99))
-        partial = sweep_cache_sizes(
-            net, mbs, rvv_cache_factory, jobs=1, resume=True,
-            retry=RetryPolicy(max_retries=0, backoff_s=0.001), max_failures=1,
-        )
+        with pytest.warns(ReplayFallbackWarning):
+            partial = sweep_cache_sizes(
+                net, mbs, rvv_cache_factory, jobs=1, resume=True,
+                retry=RetryPolicy(max_retries=0, backoff_s=0.001),
+                max_failures=1,
+            )
         assert partial.sources[1] == "failed"
         monkeypatch.delenv(FAULTS_ENV)
         resumed = sweep_cache_sizes(
@@ -591,9 +605,10 @@ class TestSweepCli:
     ):
         arm = fault_env
         arm(FaultSpec(site="worker.point", kind="raise", index=0, times=99))
-        code = cli_main(
-            [*self.ARGS, "--max-failures", "1", "--retries", "0", "--json"]
-        )
+        with pytest.warns(ReplayFallbackWarning):
+            code = cli_main(
+                [*self.ARGS, "--max-failures", "1", "--retries", "0", "--json"]
+            )
         assert code == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["points"][0]["source"] == "failed"

@@ -10,6 +10,7 @@ accumulation order exactly, and these tests are the tripwire for any
 drift (see the lock-step warning in ``repro/machine/replay.py``).
 """
 
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -21,10 +22,11 @@ from repro.core import sweep_cache_sizes, sweep_lanes, tracecache
 from repro.core.codesign import SweepResult
 from repro.machine import a64fx, rvv_gem5, sve_gem5
 from repro.machine.replay import (
+    _conflict_free,
     _GroupCapture,
-    _hot_mask,
-    _intern,
-    _point_pass_vec,
+    _lru_hits,
+    _lru_walk,
+    _reuse,
     _skeleton,
     _walk,
     capture_sweep,
@@ -203,89 +205,140 @@ class TestBitwiseIdentity:
 
 
 def spy_walks(monkeypatch):
-    """Record the mode of every :func:`_walk` call (``"exact"``,
-    ``"hybrid"`` or ``"free"``) and the group constants it saw."""
+    """Record the kind of every point walk (``"exact"`` for the
+    sequential :func:`_walk`, ``"lru"`` or ``"free"`` for the vectorized
+    :func:`_lru_walk` of an overcommitted or a conflict-free L2) and the
+    group constants it saw."""
     from repro.machine import replay as R
 
     walks = []
-    orig = R._walk
+    exact, lru = R._walk, R._lru_walk
 
-    def spy(skel, gc, machine, hot):
-        mode = "exact" if hot is None else ("hybrid" if hot else "free")
-        walks.append((mode, gc))
-        return orig(skel, gc, machine, hot)
+    def spy_exact(skel, gc, machine):
+        walks.append(("exact", gc))
+        return exact(skel, gc, machine)
 
-    monkeypatch.setattr(R, "_walk", spy)
+    def spy_lru(skel, gc, machine, free):
+        walks.append(("free" if free else "lru", gc))
+        return lru(skel, gc, machine, free)
+
+    monkeypatch.setattr(R, "_walk", spy_exact)
+    monkeypatch.setattr(R, "_lru_walk", spy_lru)
     return walks
+
+
+def synthetic_program(events, l1_shift, l2_shift):
+    """A shared-pass ``(prog, gc)`` pair from abstract events: ``("v",
+    lines)`` a vector (tag-3) and ``("s", lines)`` a scalar (tag-4)
+    event over L1-line indices (possibly none), ``("n", line, n)`` a
+    residency note of *n* L1 lines."""
+    prog = []
+    lines = array("i")
+    for ev in events:
+        if ev[0] == "n":
+            prog.append((2, ev[1] << l1_shift, ev[2] << l1_shift))
+            continue
+        lines.extend(ev[1])
+        if ev[0] == "v":
+            prog.append((3, 1.0, len(ev[1]), 9, 0.0, 64, 1, False, True, 0))
+        else:
+            prog.append((4, 1.0, len(ev[1]), 9, 0.0, False))
+    gc = {"port_l1": True, "l1_shift": l1_shift, "l2_shift": l2_shift,
+          "lines": lines, "has_fills": False, "pf2_cfg": False}
+    return prog, gc
+
+
+def with_l2(m0, n_sets, assoc, line_bytes=None):
+    """*m0* with an L2 of *n_sets* sets of *assoc* ways."""
+    line = line_bytes or m0.l2.line_bytes
+    return m0.with_(l2=replace(
+        m0.l2, size_bytes=n_sets * assoc * line, assoc=assoc, line_bytes=line
+    ))
+
+
+LINE = st.integers(min_value=0, max_value=95)
+#: Half the lines come from a hot handful, so set-local windows often
+#: repeat a few lines before a new one shows up.
+EVENT_LINE = st.one_of(st.integers(min_value=0, max_value=7), LINE)
+EVENT = st.one_of(
+    st.tuples(st.sampled_from("vs"),
+              st.lists(EVENT_LINE, max_size=6).map(tuple)),
+    st.tuples(st.just("n"), LINE, st.integers(min_value=0, max_value=48)),
+)
 
 
 class TestWalkModes:
     """Every point prices through one pipeline: skeleton -> walk ->
-    intern -> ``_point_pass_vec``.  The walk has three modes (exact,
-    hybrid over the hot sets, conflict-free); every mode valid for a
-    point must resolve the same per-event L2 split, and the mode
-    ``_run_points`` picks must price bitwise like direct simulation.
-    These call ``capture_sweep``/``replay_sweep`` directly: ``sweep()``
-    would turn a broken walk into a slow but correct direct simulation.
+    intern -> ``_point_pass_vec``.  A group without prefetch fills walks
+    with NumPy (:func:`_lru_walk`); the sequential LRU loop
+    (:func:`_walk`) runs for groups with fills and is the oracle the
+    vectorized walk must match on every generated program.  The sweep
+    tests call ``capture_sweep``/``replay_sweep`` directly.
     """
 
-    @pytest.fixture(scope="class")
-    def captured(self):
-        m0 = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=1)
-        cap = _GroupCapture(m0, defer_vpu=True)
-        yolov3_tiny()._emit_trace(cap, KernelPolicy(), 6, True)
-        prog, inv, gc = cap.finish()
-        assert not gc["has_fills"] and not gc["pf2_cfg"]
-        lines = np.fromiter(gc["distinct"], dtype=np.int64)
-        return m0, prog, inv, gc, _skeleton(prog), lines
-
-    @staticmethod
-    def assert_walks_agree(captured, m, hot):
-        _, _, inv, gc, skel, _ = captured
-        exact = _walk(skel, gc, m, None)
-        other = _walk(skel, gc, m, hot)
-        assert (exact[0] == other[0]).all() and (exact[1] == other[1]).all()
-        assert_bitwise(
-            _point_pass_vec(_intern(skel, *exact), inv, m, gc),
-            _point_pass_vec(_intern(skel, *other), inv, m, gc),
-        )
-
-    @staticmethod
-    def with_l2(m0, assoc, sets_log2):
-        return m0.with_(l2=replace(
-            m0.l2, assoc=assoc, size_bytes=m0.l2.line_bytes * assoc << sets_log2
-        ))
-
-    @settings(max_examples=25, deadline=None)
-    @given(assoc=st.sampled_from([1, 2, 4, 8, 16]),
-           sets_log2=st.integers(min_value=4, max_value=14),
-           extra=st.integers(min_value=1, max_value=8))
-    def test_hybrid_walk_agrees_with_exact(
-        self, captured, assoc, sets_log2, extra
+    @settings(max_examples=150, deadline=None)
+    @given(events=st.lists(EVENT, min_size=10, max_size=80),
+           n_sets=st.integers(min_value=1, max_value=24),
+           assoc=st.integers(min_value=1, max_value=16),
+           l2_up=st.integers(min_value=0, max_value=2),
+           chunk=st.sampled_from([1, 5, 1 << 17]))
+    def test_lru_walk_agrees_with_exact(
+        self, events, n_sets, assoc, l2_up, chunk
     ):
-        """Hybrid is valid for any hot set holding every line of the
-        overfull sets: lines of the other sets never get evicted, so
-        walking a few of them too changes nothing.  The extra lines
-        keep the set non-empty, which would select conflict-free."""
-        m0, lines = captured[0], captured[5]
-        m = self.with_l2(m0, assoc, sets_log2)
-        hot = set(lines[_hot_mask(lines, m)].tolist())
-        hot |= set(lines[:: max(1, len(lines) // extra)].tolist())
-        self.assert_walks_agree(captured, m, hot)
+        """Generated demand streams on generated L2s: any set count,
+        assoc 1-16, L2 lines up to 4x the L1 line, range budgets small
+        enough to trim, scalar and empty events, and window chunks down
+        to one position.  The vectorized walk resolves the same per-event
+        split as the sequential loop; so does its conflict-free shortcut
+        wherever :func:`_conflict_free` allows it."""
+        from repro.machine import replay as R
 
-    @settings(max_examples=15, deadline=None)
-    @given(assoc=st.sampled_from([2, 4, 8, 16]),
-           slack=st.integers(min_value=0, max_value=2))
-    def test_conflict_free_walk_agrees_with_exact(self, captured, assoc, slack):
-        """From the smallest L2 of this associativity with no overfull
-        set (so range-budget trims still bite) up to four times it."""
-        m0, lines = captured[0], captured[5]
-        sets_log2 = next(
-            s for s in range(4, 24)
-            if not _hot_mask(lines, self.with_l2(m0, assoc, s)).any()
-        )
-        m = self.with_l2(m0, assoc, sets_log2 + slack)
-        self.assert_walks_agree(captured, m, set())
+        m0 = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=1)
+        l1_shift = 6
+        m = with_l2(m0, n_sets, assoc, 64 << l2_up)
+        prog, gc = synthetic_program(events, l1_shift, l1_shift + l2_up)
+        skel = _skeleton(prog)
+        want = _walk(skel, gc, m)
+        saved, R._WINDOW_CHUNK = R._WINDOW_CHUNK, chunk
+        try:
+            got = _lru_walk(skel, gc, m, False)
+        finally:
+            R._WINDOW_CHUNK = saved
+        assert want[0].tolist() == got[0].tolist()
+        assert want[1].tolist() == got[1].tolist()
+        if _conflict_free(_reuse(gc), m):
+            free = _lru_walk(skel, gc, m, True)
+            assert want[0].tolist() == free[0].tolist()
+            assert want[1].tolist() == free[1].tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(events=st.lists(
+               st.one_of(
+                   st.tuples(st.just("v"),
+                             st.lists(LINE, min_size=1, max_size=4)
+                             .map(tuple)),
+                   st.tuples(st.just("n"), st.sampled_from([0, 24, 48, 72]),
+                             st.integers(min_value=4, max_value=24)),
+               ),
+               min_size=20, max_size=80,
+           ),
+           n_sets=st.integers(min_value=8, max_value=48),
+           assoc=st.integers(min_value=1, max_value=2))
+    def test_range_refreshes_order_trims_like_exact(
+        self, events, n_sets, assoc
+    ):
+        """A small, thrashing L2 whose budget holds two or three of the
+        disjoint ranges: most accesses miss in LRU and run the range
+        check, so which range a later note trims first depends on the
+        order of the range hits before it."""
+        m0 = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=1)
+        m = with_l2(m0, n_sets, assoc)
+        prog, gc = synthetic_program(events, 6, 6)
+        skel = _skeleton(prog)
+        want = _walk(skel, gc, m)
+        got = _lru_walk(skel, gc, m, False)
+        assert want[0].tolist() == got[0].tolist()
+        assert want[1].tolist() == got[1].tolist()
 
     def test_exact_walk_matches_direct_simulation(self, monkeypatch):
         """a64fx has an L2 prefetcher and honours software prefetches
@@ -311,18 +364,20 @@ class TestWalkModes:
             assert_bitwise(want, r)
 
     def test_run_points_selects_each_walk_mode(self, monkeypatch):
-        """An L2 sweep of this net runs every walk mode once per tier."""
+        """An L2 sweep from 512 KB to 256 MB walks each overcommitted
+        point and each conflict-free budget once, bitwise like direct
+        simulation."""
         net = yolov3_tiny()
         m0 = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=1)
-        # 512 KB: exact; 1 MB: hybrid; 2 MB: conflict-free, trimming;
-        # 64 MB: conflict-free, never trimming.
+        # 512 KB and 1 MB: overcommitted sets; 2 MB: conflict-free,
+        # trimming; 256 MB: conflict-free, never trimming.
         machines = [m0.with_(l2=replace(m0.l2, size_bytes=kb << 10))
-                    for kb in (512, 1024, 2048, 65536)]
+                    for kb in (512, 1024, 2048, 262144)]
         walks = spy_walks(monkeypatch)
         fused = capture_sweep(
             lambda sim: net._emit_trace(sim, KernelPolicy(), 6, True), machines
         )
-        assert [w[0] for w in walks] == ["exact", "hybrid", "free", "free"]
+        assert [w[0] for w in walks] == ["lru", "lru", "free", "free"]
         for m, f in zip(machines, fused):
             assert_bitwise(direct(net, m, KernelPolicy(), 6), f)
 
@@ -351,9 +406,56 @@ class TestWalkModes:
         trace = net.record_trace(machines[0], KernelPolicy(), n_layers=6)
         walks = spy_walks(monkeypatch)
         got = replay_sweep(trace, machines)
-        assert [w[0] for w in walks] == ["hybrid"]
+        assert [w[0] for w in walks] == ["lru"]
         for m, g in zip(machines, got):
             assert_bitwise(direct(net, m, KernelPolicy(), 6), g)
+
+
+def lru_misses(gc, machine):
+    return set(np.flatnonzero(~_lru_hits(_reuse(gc), machine)).tolist())
+
+
+class TestLruMetamorphic:
+    """Properties of LRU itself, checked on the vectorized hit column:
+    more ways never add a miss (the LRU stack inclusion property), and
+    neither does splitting every set in two (set refinement: each new
+    set sees a sub-stream of an old one)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stream=st.lists(LINE, max_size=200),
+           n_sets=st.integers(min_value=1, max_value=24),
+           assoc=st.integers(min_value=1, max_value=15))
+    def test_more_ways_never_add_misses(self, stream, n_sets, assoc):
+        m0 = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=1)
+        _, gc = synthetic_program([("v", tuple(stream))], 6, 6)
+        narrow = lru_misses(gc, with_l2(m0, n_sets, assoc))
+        wide = lru_misses(gc, with_l2(m0, n_sets, assoc + 1))
+        assert wide <= narrow
+
+    @settings(max_examples=60, deadline=None)
+    @given(stream=st.lists(LINE, max_size=200),
+           n_sets=st.integers(min_value=1, max_value=24),
+           assoc=st.integers(min_value=1, max_value=16))
+    def test_set_refinement_never_adds_misses(self, stream, n_sets, assoc):
+        m0 = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=1)
+        _, gc = synthetic_program([("v", tuple(stream))], 6, 6)
+        coarse = lru_misses(gc, with_l2(m0, n_sets, assoc))
+        fine = lru_misses(gc, with_l2(m0, 2 * n_sets, assoc))
+        assert fine <= coarse
+
+    def test_properties_hold_on_a_real_trace(self):
+        """The same two properties on the yolov3-tiny demand stream, at
+        the set counts of a 256 KB to 1 MB 8-way L2 (all of which evict:
+        they miss more often than there are distinct lines)."""
+        m0 = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=1)
+        cap = _GroupCapture(m0, defer_vpu=True)
+        yolov3_tiny()._emit_trace(cap, KernelPolicy(), 6, True)
+        gc = cap.finish()[2]
+        for n_sets in (512, 1024, 2048):
+            base = lru_misses(gc, with_l2(m0, n_sets, 8))
+            assert len(base) > len(_reuse(gc).unique)
+            assert lru_misses(gc, with_l2(m0, n_sets, 9)) <= base
+            assert lru_misses(gc, with_l2(m0, 2 * n_sets, 8)) <= base
 
 
 class TestTraceKey:
