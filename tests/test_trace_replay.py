@@ -24,8 +24,10 @@ from repro.machine import a64fx, rvv_gem5, sve_gem5
 from repro.machine.replay import (
     _conflict_free,
     _GroupCapture,
+    _intern,
     _lru_hits,
     _lru_walk,
+    _point_pass_vec,
     _reuse,
     _skeleton,
     _walk,
@@ -310,6 +312,66 @@ class TestWalkModes:
             free = _lru_walk(skel, gc, m, True)
             assert want[0].tolist() == free[0].tolist()
             assert want[1].tolist() == free[1].tolist()
+
+    @pytest.fixture(scope="class")
+    def captured(self):
+        m0 = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=1)
+        cap = _GroupCapture(m0, defer_vpu=True)
+        yolov3_tiny()._emit_trace(cap, KernelPolicy(), 6, True)
+        prog, inv, gc = cap.finish()
+        assert not gc["has_fills"] and not gc["pf2_cfg"]
+        return m0, inv, gc, _skeleton(prog)
+
+    @staticmethod
+    def assert_walks_agree(captured, m, free):
+        _, inv, gc, skel = captured
+        exact = _walk(skel, gc, m)
+        other = _lru_walk(skel, gc, m, free)
+        assert exact[0].tolist() == other[0].tolist()
+        assert exact[1].tolist() == other[1].tolist()
+        assert_bitwise(
+            _point_pass_vec(_intern(skel, *exact), inv, m, gc),
+            _point_pass_vec(_intern(skel, *other), inv, m, gc),
+        )
+
+    @staticmethod
+    def smallest_conflict_free(captured, assoc):
+        """log2 of the set count of the smallest L2 of *assoc* ways in
+        which no set of the captured trace is overfull."""
+        m0, _, gc, _ = captured
+        return next(
+            s for s in range(4, 24)
+            if _conflict_free(_reuse(gc), with_l2(m0, 1 << s, assoc))
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(assoc=st.sampled_from([1, 2, 4, 8, 16]),
+           below=st.integers(min_value=1, max_value=6))
+    def test_hybrid_walk_agrees_with_exact(self, captured, assoc, below):
+        """A real network's trace on L2s with overfull sets: from a
+        handful of hot sets up to every set hot.  Only the hot
+        sets' accesses run the set-local window counts, the other sets'
+        repeats hit outright; the per-event split and the priced stats
+        match the sequential walk."""
+        m0, _, gc, _ = captured
+        sets_log2 = max(4, self.smallest_conflict_free(captured, assoc) - below)
+        m = with_l2(m0, 1 << sets_log2, assoc)
+        assert not _conflict_free(_reuse(gc), m)
+        self.assert_walks_agree(captured, m, False)
+
+    @settings(max_examples=15, deadline=None)
+    @given(assoc=st.sampled_from([2, 4, 8, 16]),
+           slack=st.integers(min_value=0, max_value=2))
+    def test_conflict_free_walk_agrees_with_exact(self, captured, assoc, slack):
+        """From the smallest L2 of this associativity with no overfull
+        set (so range-budget trims still bite) up to four times it, the
+        conflict-free shortcut (hit iff touched before) walks like the
+        sequential loop."""
+        m0, _, gc, _ = captured
+        sets_log2 = self.smallest_conflict_free(captured, assoc) + slack
+        m = with_l2(m0, 1 << sets_log2, assoc)
+        assert _conflict_free(_reuse(gc), m)
+        self.assert_walks_agree(captured, m, True)
 
     @settings(max_examples=150, deadline=None)
     @given(events=st.lists(
